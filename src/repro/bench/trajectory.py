@@ -5,7 +5,7 @@ into a series.  Every harness run can append a record —
 
     {commit, date, suite, config_digest, workers, dispatch,
      wall_seconds, events_processed, events_per_sec, tasks_ok,
-     tasks_failed}
+     tasks_failed, peak_rss_mb}
 
 — to ``BENCH_trajectory.json`` (a JSON list at the repo root), and
 render the events/sec-over-commits table via ``repro.reporting``.  The
@@ -37,6 +37,7 @@ import subprocess
 import sys
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
+from typing import Optional
 
 from ..reporting import render_table
 from .harness import SuiteResult
@@ -61,6 +62,9 @@ class TrajectoryRecord:
     #: cohort dispatch mode the run used; records written before the
     #: mode existed ran the one-event-per-timer path, i.e. "scalar"
     dispatch: str = "scalar"
+    #: peak resident set of the run's process, when the writer measured
+    #: it in a process of its own (None for harness suite aggregates)
+    peak_rss_mb: Optional[float] = None
 
     def to_dict(self) -> dict:
         return asdict(self)

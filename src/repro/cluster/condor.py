@@ -19,7 +19,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from heapq import merge as _heapq_merge
+from heapq import heapify, heappop, heappush
+from operator import attrgetter
 from typing import Any, Callable, Optional
 
 from .. import calibration
@@ -258,6 +259,25 @@ class Startd:
                 self._drained_event.succeed(self.machine.name)
 
 
+#: (submit_time, id): the idle queue's order, and fair share's tiebreak
+_submission_order = attrgetter("submit_time", "id")
+
+#: scale putting every finite float on an integer grid (2**-1074 is the
+#: smallest positive subnormal), so sums of work values are exact
+_EXACT_SCALE = 1 << 1074
+
+
+def _exact(x: float) -> int:
+    """``x`` in units of 2**-1074: integer addition is then exact."""
+    num, den = x.as_integer_ratio()  # den is a power of two
+    return num << (1075 - den.bit_length())
+
+
+def _resorted(jobs: dict[int, CondorJob]) -> dict[int, CondorJob]:
+    """``jobs`` re-keyed in (submit_time, id) order (after a requeue)."""
+    return {j.id: j for j in sorted(jobs.values(), key=_submission_order)}
+
+
 class Schedd:
     """The job queue."""
 
@@ -272,48 +292,50 @@ class Schedd:
         self._idle: dict[int, CondorJob] = {}
         self._idle_dirty = False
         # The same idle jobs bucketed per owner, each bucket in
-        # (submit_time, id) order, so a fair-share negotiation cycle can
-        # assemble its match order from O(owners) sorted groups instead
-        # of re-sorting the whole idle queue.  Buckets share the global
-        # index's laziness: an eviction only dirties its own owner.
+        # (submit_time, id) order.  Buckets share the global index's
+        # laziness: an eviction only dirties its own owner.
         self._idle_by_owner: dict[str, dict[int, CondorJob]] = {}
         self._dirty_owners: set[str] = set()
-        #: total cpu+io work of the idle queue, maintained incrementally
-        #: so backlog-driven autoscaling policies get an O(1) snapshot
-        #: instead of an O(idle jobs) scan per control interval
-        self._idle_work = 0.0
+        #: owners whose head idle job may have changed since the pool's
+        #: fair-share index last looked (a dict, for a deterministic order)
+        self._changed_owners: dict[str, None] = {}
+        #: exact cpu+io work of the idle queue in units of 2**-1074, so the
+        #: backlog snapshot is O(1) and never drifts from the true sum
+        self._idle_work = 0
 
     def submit(self, job_kwargs: dict, ctx: SimContext) -> CondorJob:
         job = CondorJob(id=self._next_id, submit_time=ctx.now, **job_kwargs)
         job.completed = ctx.sim.event()
         self._next_id += 1
         self.jobs[job.id] = job
+        self._enqueue(job)
+        return job
+
+    def _enqueue(self, job: CondorJob) -> None:
         self._idle[job.id] = job
+        self._idle_work += _exact(job.cpu_work + job.io_work)
         bucket = self._idle_by_owner.get(job.owner)
         if bucket is None:
+            # a fresh submission only becomes its owner's head when the
+            # bucket was empty; it is (submit_time, id)-last otherwise
             bucket = self._idle_by_owner[job.owner] = {}
+            self._changed_owners[job.owner] = None
         bucket[job.id] = job
-        self._idle_work += job.cpu_work + job.io_work
-        return job
 
     def _job_requeued(self, job: CondorJob) -> None:
         """An eviction put ``job`` back to IDLE (possibly out of order)."""
-        self._idle[job.id] = job
-        self._idle_work += job.cpu_work + job.io_work
+        self._enqueue(job)
         self._idle_dirty = True
-        bucket = self._idle_by_owner.get(job.owner)
-        if bucket is None:
-            bucket = self._idle_by_owner[job.owner] = {}
-        bucket[job.id] = job
         self._dirty_owners.add(job.owner)
+        self._changed_owners[job.owner] = None
 
     def _job_left_queue(self, job: CondorJob) -> None:
         """``job`` stopped being IDLE (claimed or removed)."""
         if self._idle.pop(job.id, None) is not None:
-            self._idle_work -= job.cpu_work + job.io_work
+            self._idle_work -= _exact(job.cpu_work + job.io_work)
         bucket = self._idle_by_owner.get(job.owner)
-        if bucket is not None:
-            bucket.pop(job.id, None)
+        if bucket is not None and bucket.pop(job.id, None) is not None:
+            self._changed_owners[job.owner] = None
             if not bucket:
                 del self._idle_by_owner[job.owner]
                 self._dirty_owners.discard(job.owner)
@@ -332,25 +354,19 @@ class Schedd:
 
     @property
     def idle_work(self) -> float:
-        """Total cpu+io work currently idle (m1.small-seconds), O(1)."""
-        return self._idle_work
+        """Total cpu+io work currently idle (m1.small-seconds), O(1).
+
+        Correctly rounded, like ``math.fsum`` over the idle jobs; exactly
+        ``0.0`` on an empty queue.
+        """
+        return self._idle_work / _EXACT_SCALE
 
     def idle_jobs(self) -> list[CondorJob]:
-        if self._idle_dirty:
-            ordered = sorted(
-                self._idle.values(), key=lambda j: (j.submit_time, j.id)
-            )
-            self._idle = {j.id: j for j in ordered}
-            self._idle_dirty = False
-        return list(self._idle.values())
+        return list(self.iter_idle())
 
     def idle_owners(self) -> list[str]:
         """Owners with at least one idle job (order is not significant)."""
         return list(self._idle_by_owner)
-
-    def idle_jobs_of(self, owner: str) -> list[CondorJob]:
-        """One owner's idle jobs in (submit_time, id) order."""
-        return list(self.iter_idle_of(owner))
 
     def iter_idle(self):
         """Live (submit_time, id)-ordered view of the idle queue.
@@ -360,10 +376,7 @@ class Schedd:
         queue removals to the end of the scan for exactly this reason).
         """
         if self._idle_dirty:
-            ordered = sorted(
-                self._idle.values(), key=lambda j: (j.submit_time, j.id)
-            )
-            self._idle = {j.id: j for j in ordered}
+            self._idle = _resorted(self._idle)
             self._idle_dirty = False
         return self._idle.values()
 
@@ -373,10 +386,7 @@ class Schedd:
         if not bucket:
             return ()
         if owner in self._dirty_owners:
-            ordered = sorted(
-                bucket.values(), key=lambda j: (j.submit_time, j.id)
-            )
-            bucket = self._idle_by_owner[owner] = {j.id: j for j in ordered}
+            bucket = self._idle_by_owner[owner] = _resorted(bucket)
             self._dirty_owners.discard(owner)
         return bucket.values()
 
@@ -410,12 +420,25 @@ class CondorPool:
         #: index of machines with at least one free slot, so negotiation
         #: never scans fully-loaded startds (name -> Startd)
         self._free: dict[str, Startd] = {}
+        # Persistent fair-share owner index: a heap of (usage, head
+        # submit_time, head id, owner) over owners with idle jobs, with
+        # each owner's live entry in ``_owner_entry``.  Entries go stale
+        # lazily (identity check on pop) and are re-pushed only for the
+        # owners the schedd reports changed, so a cycle costs
+        # O((matches + changed owners) log owners), not O(idle owners).
+        self._owner_heap: list[tuple[float, float, int, str]] = []
+        self._owner_entry: dict[str, tuple[float, float, int, str]] = {}
         self._stopped = False
+        #: idle jobs remain but no non-draining slot exists to run them;
+        #: the negotiator stops ticking until a machine joins
+        self.stalled = False
         #: a LAZY wake event is armed (coalesces same-timestamp kicks)
         self._wake_armed = False
-        #: cycle generation; an interval tick armed by an older cycle
-        #: finds the counter moved on and no-ops (a kick beat it)
-        self._gen = 0
+        #: when the periodic retry is due (last cycle + interval), or None
+        #: when the last cycle left nothing it could retry
+        self._tick_due: Optional[float] = None
+        #: at most one ``condor.tick`` timer is ever queued
+        self._tick_pending = False
         # Boot cycle: coalesces with same-timestamp add/submit kicks.
         self._wake_negotiator()
 
@@ -545,7 +568,7 @@ class CondorPool:
     # -- stats -------------------------------------------------------------------
     @property
     def queue_depth(self) -> int:
-        return len(self.schedd.idle_jobs())
+        return self.schedd.idle_count()
 
     def queue_depth_of(self, owner: str) -> int:
         """Idle jobs queued by one owner (per-tenant backlog view)."""
@@ -580,6 +603,7 @@ class CondorPool:
         self.usage_by_owner[job.owner] = (
             self.usage_by_owner.get(job.owner, 0.0) + job.cpu_work + job.io_work
         )
+        self.schedd._changed_owners[job.owner] = None  # its usage key moved
         # A slot freed up: try to match the next idle job right away.
         self._wake_negotiator()
 
@@ -615,27 +639,54 @@ class CondorPool:
             self._run_cycle()
 
     def _run_cycle(self) -> None:
-        self._gen += 1
         self._negotiation_cycle()
-        if self.schedd.has_idle() and not self._stopped:
-            # Unmatched work pending: retry next cycle, or earlier on a
-            # submission/join/slot-free kick.  When nothing is idle no
-            # timer is armed, so an idle simulation can drain to
-            # completion.  The tick is a one-member cohort; its apply
-            # re-arms the LAZY wake so the cycle still runs after every
-            # ordinary event of its timestamp.
-            self.ctx.sim.schedule_cohort(
-                (self.ctx.now + self.interval,),
-                self._tick_apply,
-                payload=self._gen,
-                layer="condor.tick",
-            )
+        if not self.schedd.has_idle():
+            # Nothing to retry: no timer, so an idle simulation can drain
+            # to completion (a pending tick finds no due time and dies).
+            self._tick_due = None
+            self.stalled = False
+        elif not self._has_capacity():
+            # Idle work but no slot that could ever take it: ticking
+            # would spin forever.  Stall until add_machine kicks a cycle.
+            self._tick_due = None
+            if not self.stalled:
+                self.stalled = True
+                self.ctx.obs.instant(
+                    "condor.stalled", track="condor", idle=self.schedd.idle_count()
+                )
+        else:
+            # Unmatched work pending: retry one interval after this
+            # cycle, or earlier on a submission/join/slot-free kick.
+            self.stalled = False
+            self._tick_due = self.ctx.now + self.interval
+            if not self._tick_pending:
+                self._arm_tick(self._tick_due)
+
+    def _has_capacity(self) -> bool:
+        """Some non-draining machine has a slot (free now or later)."""
+        if self._free:
+            return True
+        return any(
+            not s.draining and s.machine.cores > 0 for s in self.startds.values()
+        )
+
+    def _arm_tick(self, when: float) -> None:
+        # A one-member cohort; its apply re-arms the LAZY wake so the
+        # cycle still runs after every ordinary event of its timestamp.
+        self._tick_pending = True
+        self.ctx.sim.schedule_cohort((when,), self._tick_apply, layer="condor.tick")
 
     def _tick_apply(self, cohort, start: int, stop: int) -> None:
-        if cohort.payload == self._gen:
+        # The single pending tick: kicks since it was armed moved the
+        # due time later, so either retry now or re-arm for the due time.
+        self._tick_pending = False
+        due = self._tick_due
+        if due is None or self._stopped:
+            return
+        if self.ctx.now >= due:
             self._wake_negotiator()
-        # else: a kick already ran a newer cycle (which armed its own
-        # tick if needed); the stale timer dies here.
+        else:
+            self._arm_tick(due)
 
     def _complete_apply(self, cohort, start: int, stop: int) -> None:
         payload = cohort.payload
@@ -643,35 +694,70 @@ class CondorPool:
             startd, slot, token, job = payload[k]
             startd._finish_job(slot, token, job, self)
 
-    def _match_order(self):
-        """Idle jobs in fair-share order, lazily, from per-owner buckets.
-
-        Equivalent to a stable sort of the (submit_time, id)-ordered
-        idle queue on accumulated usage: owners are grouped by usage,
-        groups ascend by usage, and the owners *within* a group — whose
-        jobs a stable sort would interleave in submission order — are
-        k-way merged on (submit_time, id).  Costs O(owners log owners)
-        plus the jobs actually consumed, instead of re-sorting every
-        idle job each cycle; an early break on slot exhaustion never
-        materializes the untouched groups at all.
-        """
+    def _refresh_owner_index(self) -> None:
+        """Re-push the index entries of owners whose key may have moved."""
+        changed = self.schedd._changed_owners
+        if not changed:
+            return
         usage = self.usage_by_owner
+        heap = self._owner_heap
+        live = self._owner_entry
         schedd = self.schedd
-        groups: dict[float, list[str]] = {}
-        for owner in schedd.idle_owners():
-            groups.setdefault(usage.get(owner, 0.0), []).append(owner)
-        for used in sorted(groups):
-            owners = groups[used]
-            if len(owners) == 1:
-                # Live views, no copies: the cycle defers its queue
-                # removals until the scan is over, so the buckets do not
-                # change under the iterators.
-                yield from schedd.iter_idle_of(owners[0])
+        for owner in changed:
+            head = next(iter(schedd.iter_idle_of(owner)), None)
+            if head is None:
+                live.pop(owner, None)
+                continue
+            entry = (usage.get(owner, 0.0), head.submit_time, head.id, owner)
+            if live.get(owner) != entry:
+                live[owner] = entry
+                heappush(heap, entry)
+        changed.clear()
+        if len(heap) > 2 * len(live):  # stale entries outnumber live owners
+            heap[:] = live.values()
+            heapify(heap)
+
+    def _match_order(self):
+        """Idle jobs in fair-share order, lazily, from the owner index.
+
+        The order is a stable sort of the (submit_time, id)-ordered idle
+        queue on accumulated usage, i.e. ascending (usage, submit_time,
+        id).  Owners are popped from the persistent index only as the
+        scan reaches them; a popped owner's later jobs follow through a
+        small per-cycle cursor heap.  Popped owners are marked changed,
+        so the next refresh re-pushes them with their new head — claimed
+        or not.  An early break on slot exhaustion never touches the
+        owners further down the index.
+        """
+        self._refresh_owner_index()
+        heap = self._owner_heap
+        live = self._owner_entry
+        changed = self.schedd._changed_owners
+        iter_idle_of = self.schedd.iter_idle_of
+        pops = self.ctx.obs.counter("condor.owner_index_pops")
+        cursors: list = []  # (usage, submit_time, id, job, owner's iterator)
+        while True:
+            while heap and live.get(heap[0][3]) is not heap[0]:
+                heappop(heap)  # stale: that owner's key moved on
+                pops.inc()
+            if heap and (not cursors or heap[0] < cursors[0]):
+                used, _t, _id, owner = heappop(heap)
+                pops.inc()
+                del live[owner]
+                changed[owner] = None
+                jobs = iter(iter_idle_of(owner))
+                job = next(jobs)
+            elif cursors:
+                used, _t, _id, job, jobs = heappop(cursors)
             else:
-                yield from _heapq_merge(
-                    *(schedd.iter_idle_of(o) for o in owners),
-                    key=lambda j: (j.submit_time, j.id),
-                )
+                return
+            # Live views, no copies: the cycle defers its queue removals
+            # until the scan is over, so the buckets do not change under
+            # the iterators.
+            yield job
+            nxt = next(jobs, None)
+            if nxt is not None:
+                heappush(cursors, (used, nxt.submit_time, nxt.id, nxt, jobs))
 
     def _negotiation_cycle(self) -> None:
         obs = self.ctx.obs
@@ -684,8 +770,6 @@ class CondorPool:
         finish_times: list[float] = []
         claims: list[tuple[Startd, int, int, CondorJob]] = []
         for job in idle:
-            if not self._free:
-                break  # the cycle itself consumed the last free slot
             # the free-slot check tolerates entries staled by a drain;
             # one fused pass picks the best-ranked candidate (first wins
             # ties, matching max() over the old materialized list)
@@ -703,6 +787,8 @@ class CondorPool:
             finish_times.append(finish)
             claims.append((best, slot, token, job))
             matched += 1
+            if not self._free:
+                break  # the cycle consumed the last free slot: stop pulling
         if matched:
             # The scan iterated live queue views; now that it is over,
             # retire the claimed jobs from the idle queue in one pass.
