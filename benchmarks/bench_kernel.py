@@ -28,7 +28,7 @@ import json
 import pathlib
 import time
 
-from repro.simcore import Resource, Simulator, set_default_scheduler
+from repro.simcore import Resource, Simulator
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
@@ -119,24 +119,15 @@ WORKLOADS = [
 ]
 
 
-def run_workload(fn, repeats: int = 3, scheduler: str | None = None) -> dict:
-    """Best-of-``repeats`` wall time; events/sec from the analytic count.
-
-    ``scheduler`` pins the kernel's default scheduler for the run (the
-    workloads build plain ``Simulator()`` instances), restored after.
-    """
+def run_workload(fn, repeats: int = 3) -> dict:
+    """Best-of-``repeats`` wall time; events/sec from the analytic count."""
     best_s = float("inf")
     events = 0
-    previous = set_default_scheduler(scheduler) if scheduler else None
-    try:
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            events = fn()
-            elapsed = time.perf_counter() - t0
-            best_s = min(best_s, elapsed)
-    finally:
-        if previous is not None:
-            set_default_scheduler(previous)
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        events = fn()
+        elapsed = time.perf_counter() - t0
+        best_s = min(best_s, elapsed)
     return {
         "events": events,
         "wall_s": round(best_s, 4),
@@ -145,33 +136,15 @@ def run_workload(fn, repeats: int = 3, scheduler: str | None = None) -> dict:
 
 
 def run_all(repeats: int = 3) -> dict:
-    """Every workload under both schedulers; heap stays the baseline.
-
-    The top-level fields keep their historical heap-based meaning so the
-    perf trajectory stays comparable across commits; the wheel numbers
-    ride along per workload with the heap/wheel speedup factor.
-    """
-    results = {}
-    for name, fn in WORKLOADS:
-        heap = run_workload(fn, repeats, scheduler="heap")
-        wheel = run_workload(fn, repeats, scheduler="wheel")
-        entry = dict(heap)
-        entry["wheel"] = {
-            "wall_s": wheel["wall_s"],
-            "events_per_sec": wheel["events_per_sec"],
-        }
-        entry["wheel_speedup"] = round(heap["wall_s"] / wheel["wall_s"], 3)
-        results[name] = entry
+    """Every workload, plus the totals across them."""
+    results = {name: run_workload(fn, repeats) for name, fn in WORKLOADS}
     total_events = sum(r["events"] for r in results.values())
     total_wall = sum(r["wall_s"] for r in results.values())
-    total_wheel_wall = sum(r["wheel"]["wall_s"] for r in results.values())
     return {
         "workloads": results,
         "total_events": total_events,
         "total_wall_s": round(total_wall, 4),
         "overall_events_per_sec": round(total_events / total_wall),
-        "wheel_total_wall_s": round(total_wheel_wall, 4),
-        "wheel_overall_events_per_sec": round(total_events / total_wheel_wall),
     }
 
 
@@ -182,8 +155,7 @@ def main() -> dict:
     out.write_text(json.dumps(report, indent=2) + "\n")
     for name, r in report["workloads"].items():
         print(f"{name:20s} {r['events']:>9d} events  {r['wall_s']:>8.3f} s  "
-              f"{r['events_per_sec']:>10d} ev/s  "
-              f"wheel {r['wheel']['wall_s']:>7.3f} s ({r['wheel_speedup']:.2f}x)")
+              f"{r['events_per_sec']:>10d} ev/s")
     print(f"{'overall':20s} {report['total_events']:>9d} events  "
           f"{report['total_wall_s']:>8.3f} s  "
           f"{report['overall_events_per_sec']:>10d} ev/s")

@@ -22,7 +22,6 @@ import sys
 from dataclasses import asdict, replace
 
 from repro.bench import harness, trajectory, waas
-from repro.simcore import default_dispatch
 
 
 def shape(tenants: int) -> waas.WaasConfig:
@@ -35,7 +34,6 @@ def run_point(tenants: int) -> dict:
     result.check_shape()
     return {
         "tenants": tenants,
-        "dispatch": default_dispatch(),
         "wall_seconds": round(result.wall_seconds, 3),
         "events_processed": result.events_processed,
         "events_per_sec": round(result.events_per_sec, 1),
@@ -72,7 +70,6 @@ def record(point: dict) -> trajectory.TrajectoryRecord:
         suite=f"waas-scale-{point['tenants']}",
         config_digest=harness.config_digest([spec]),
         workers=1,
-        dispatch=point["dispatch"],
         wall_seconds=point["wall_seconds"],
         events_processed=point["events_processed"],
         events_per_sec=point["events_per_sec"],

@@ -21,7 +21,6 @@ import pathlib
 import sys
 
 from ..obs import chrome_trace, critpath_doc, spans_jsonl, summary_table, timeseries_jsonl
-from ..simcore import DISPATCH_MODES, SCHEDULERS, default_dispatch, default_scheduler
 from . import suites, trajectory
 from .harness import run_suite
 
@@ -53,30 +52,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=600.0,
         help="per-task timeout in seconds when workers > 1 (default 600)",
-    )
-    parser.add_argument(
-        "--scheduler",
-        choices=list(SCHEDULERS),
-        default=None,
-        help=(
-            "kernel event queue for every task: 'heap' (binary heap) or"
-            " 'wheel' (calendar queue); sim JSON is byte-identical under"
-            f" either (default: {default_scheduler()!r}, settable via"
-            " REPRO_SIM_SCHEDULER)"
-        ),
-    )
-    parser.add_argument(
-        "--dispatch",
-        choices=list(DISPATCH_MODES),
-        default=None,
-        help=(
-            "cohort dispatch mode for every task: 'cohort' (struct-of-"
-            "arrays batch pops) or 'scalar' (one event per member, the"
-            " reference path); sim JSON is byte-identical under either"
-            f" (default: {default_dispatch()!r}, settable via"
-            " REPRO_SIM_DISPATCH; see --list for which suites schedule"
-            " cohorts)"
-        ),
     )
     parser.add_argument(
         "--json-out",
@@ -149,11 +124,7 @@ def _list_suites(smoke: bool) -> None:
     for name in suites.names():
         suite = suites.get(name, smoke=smoke)
         obs = "obs-out: yes" if suite.supports_obs else "obs-out: no"
-        cohort = "cohorts: yes" if suite.cohort_eligible else "cohorts: no"
-        print(
-            f"{name}: {suite.description}"
-            f" ({len(suite.specs)} specs, {obs}, {cohort})"
-        )
+        print(f"{name}: {suite.description} ({len(suite.specs)} specs, {obs})")
         for spec in suite.specs:
             print(f"  {spec.name}  [{spec.task}] {spec.params or ''}")
 
@@ -199,8 +170,7 @@ def write_critpath_outputs(result, out_dir: pathlib.Path) -> list[pathlib.Path]:
     """Write per-suite ``.critpath.json`` documents; returns the paths.
 
     Built purely from spans (never metrics), with deterministic tie
-    breaks — the files are byte-identical across scheduler and dispatch
-    choices, which CI pins.
+    breaks — the files are byte-identical across worker counts.
     """
     out_dir.mkdir(parents=True, exist_ok=True)
     written: list[pathlib.Path] = []
@@ -234,15 +204,7 @@ def main(argv: list[str] | None = None) -> int:
             " --obs-out will record no spans",
             file=sys.stderr,
         )
-    if args.dispatch and not suite.cohort_eligible:
-        print(
-            "note: none of the selected suites schedules event cohorts;"
-            " --dispatch will not change anything",
-            file=sys.stderr,
-        )
     mode = f"{args.workers} workers" if args.workers > 1 else "sequential"
-    sched = f", scheduler={args.scheduler}" if args.scheduler else ""
-    disp = f", dispatch={args.dispatch}" if args.dispatch else ""
     capture_spans = (
         args.obs_out is not None
         or args.bundle_out is not None
@@ -251,7 +213,7 @@ def main(argv: list[str] | None = None) -> int:
     obs_note = ", obs" if capture_spans else ""
     print(
         f"running suite {suite.name!r}: {len(suite.specs)} specs,"
-        f" {mode}{sched}{disp}{obs_note}"
+        f" {mode}{obs_note}"
     )
 
     progress = None
@@ -264,9 +226,7 @@ def main(argv: list[str] | None = None) -> int:
         workers=args.workers,
         default_timeout_s=args.timeout,
         progress=progress,
-        scheduler=args.scheduler,
         obs=capture_spans,
-        dispatch=args.dispatch,
     )
 
     print()

@@ -41,14 +41,6 @@ from dataclasses import dataclass, field
 
 from ..obs.recorder import capture
 from ..reporting import render_table
-from ..simcore import (
-    DISPATCH_MODES,
-    SCHEDULERS,
-    default_dispatch,
-    default_scheduler,
-    set_default_dispatch,
-    set_default_scheduler,
-)
 
 #: metric keys that legitimately vary between hosts/runs; everything else
 #: in a payload must be byte-identical for a given spec.
@@ -129,10 +121,6 @@ class BenchSuite:
     #: ``gp-bench --obs-out`` only produces trace files for suites that do
     #: (the pricing sweep is a closed-form estimator with no event loop)
     supports_obs: bool = True
-    #: whether the suite's tasks schedule event cohorts, i.e. whether
-    #: ``gp-bench --dispatch`` changes anything for them (same carve-out:
-    #: the pricing sweep never enters the event loop)
-    cohort_eligible: bool = True
 
     def config_digest(self) -> str:
         return config_digest(self.specs)
@@ -186,14 +174,6 @@ class SuiteResult:
     workers: int
     wall_seconds: float
     tasks: list[TaskResult]
-    #: kernel scheduler the tasks ran under; reported in :meth:`to_dict`
-    #: but deliberately absent from :meth:`sim_dict` — the schedulers are
-    #: equivalent, so the determinism pin must not depend on the choice.
-    scheduler: str = "heap"
-    #: cohort dispatch mode the tasks ran under; same contract as
-    #: ``scheduler`` — reported in :meth:`to_dict`, absent from
-    #: :meth:`sim_dict` (scalar and cohort dispatch are byte-equivalent).
-    dispatch: str = "cohort"
 
     @property
     def ok(self) -> bool:
@@ -230,8 +210,6 @@ class SuiteResult:
         return {
             "suite": self.suite,
             "workers": self.workers,
-            "scheduler": self.scheduler,
-            "dispatch": self.dispatch,
             "config_digest": self.config_digest(),
             "wall_seconds": self.wall_seconds,
             "counts": self.counts(),
@@ -268,14 +246,11 @@ class SuiteResult:
         return json.dumps(self.sim_dict(), indent=2, sort_keys=True)
 
     def scenario_dict(self) -> dict:
-        """What ran and under which kernel knobs — the reconstruction
-        recipe a provenance bundle stores (see :mod:`repro.provenance`):
-        rerunning these specs under this scheduler/dispatch reproduces
+        """What ran — the reconstruction recipe a provenance bundle stores
+        (see :mod:`repro.provenance`): rerunning these specs reproduces
         :meth:`sim_dict` byte-identically."""
         return {
             "suite": self.suite,
-            "scheduler": self.scheduler,
-            "dispatch": self.dispatch,
             "specs": [t.spec.to_dict() for t in self.tasks],
         }
 
@@ -322,21 +297,13 @@ def _strip_host_dependent(obj):
 
 
 def _execute(
-    spec: BenchSpec,
-    scheduler: str | None = None,
-    obs: bool = False,
-    dispatch: str | None = None,
+    spec: BenchSpec, obs: bool = False
 ) -> tuple[str, dict | None, float, str | None, list[dict] | None]:
     """Run one spec in the current process; exceptions become records.
 
-    ``scheduler`` pins the kernel's default scheduler for the duration
-    of the task (restored afterwards), so every simulation the task
-    builds — tasks construct their own ``SimContext`` — runs under it.
-    ``dispatch`` pins the cohort dispatch mode (``"scalar"`` or
-    ``"cohort"``) the same way.
-
-    ``obs=True`` wraps the task in an ``obs.capture()`` block, so those
-    same simulations each record spans/metrics; the exported docs ride
+    ``obs=True`` wraps the task in an ``obs.capture()`` block, so every
+    simulation the task builds — tasks construct their own
+    ``SimContext`` — records spans/metrics; the exported docs ride
     back as the fifth tuple element, relabelled ``<spec name>:<label>``
     so merged suite traces stay unambiguous.
     """
@@ -353,22 +320,12 @@ def _execute(
     t0 = time.perf_counter()
     try:
         fn = resolve_task(spec.task)
-        previous = set_default_scheduler(scheduler) if scheduler is not None else None
-        prev_dispatch = (
-            set_default_dispatch(dispatch) if dispatch is not None else None
-        )
         cap = None
-        try:
-            if obs:
-                with capture() as cap:
-                    payload = fn(**spec.params)
-            else:
+        if obs:
+            with capture() as cap:
                 payload = fn(**spec.params)
-        finally:
-            if previous is not None:
-                set_default_scheduler(previous)
-            if prev_dispatch is not None:
-                set_default_dispatch(prev_dispatch)
+        else:
+            payload = fn(**spec.params)
         # canonicalize so in-process and piped results merge identically
         payload = json.loads(json.dumps(payload))
         docs = None
@@ -383,23 +340,17 @@ def _execute(
             gc.enable()
 
 
-def run_spec(
-    spec: BenchSpec,
-    scheduler: str | None = None,
-    obs: bool = False,
-    dispatch: str | None = None,
-) -> TaskResult:
+def run_spec(spec: BenchSpec, obs: bool = False) -> TaskResult:
     """In-process execution of a single spec (the drivers' entry point)."""
-    return TaskResult(spec, *_execute(spec, scheduler, obs, dispatch))
+    return TaskResult(spec, *_execute(spec, obs))
 
 
 def _worker_main(conn) -> None:
     """Persistent worker loop: recv a spec dict, send a result tuple.
 
-    The spec dict may carry ``scheduler``/``dispatch`` keys (the
-    harness's ``--scheduler``/``--dispatch`` plumbing); they ride
-    alongside the spec fields so the pipe protocol stays one flat dict
-    each way.
+    The spec dict may carry an ``obs`` key (the harness's ``--obs-out``
+    plumbing); it rides alongside the spec fields so the pipe protocol
+    stays one flat dict each way.
     """
     from . import suites  # noqa: F401  (registers tasks under spawn)
 
@@ -410,12 +361,10 @@ def _worker_main(conn) -> None:
             break
         if doc is None:
             break
-        scheduler = doc.pop("scheduler", None)
-        dispatch = doc.pop("dispatch", None)
         obs = doc.pop("obs", False)
         spec = BenchSpec.from_dict(doc)
         try:
-            conn.send(_execute(spec, scheduler, obs, dispatch))
+            conn.send(_execute(spec, obs))
         except Exception:
             try:
                 conn.send(("failed", None, 0.0, traceback.format_exc(), None))
@@ -444,19 +393,8 @@ class _Worker:
     def busy(self) -> bool:
         return self.current is not None
 
-    def assign(
-        self,
-        idx: int,
-        spec: BenchSpec,
-        scheduler: str | None,
-        obs: bool = False,
-        dispatch: str | None = None,
-    ) -> None:
+    def assign(self, idx: int, spec: BenchSpec, obs: bool = False) -> None:
         doc = spec.to_dict()
-        if scheduler is not None:
-            doc["scheduler"] = scheduler
-        if dispatch is not None:
-            doc["dispatch"] = dispatch
         if obs:
             doc["obs"] = True
         self.conn.send(doc)
@@ -485,9 +423,7 @@ class _Worker:
             self.proc.join(timeout=1.0)
 
 
-def _run_pool(
-    specs, workers, default_timeout_s, start_method, progress, scheduler, obs, dispatch
-):
+def _run_pool(specs, workers, default_timeout_s, start_method, progress, obs):
     ctx = multiprocessing.get_context(start_method or default_start_method())
     n_workers = max(1, min(workers, len(specs)))
     pool: list[_Worker | None] = [_Worker(ctx) for _ in range(n_workers)]
@@ -516,7 +452,7 @@ def _run_pool(
                     continue
                 idx, spec = pending.popleft()
                 try:
-                    w.assign(idx, spec, scheduler, obs, dispatch)
+                    w.assign(idx, spec, obs)
                 except (BrokenPipeError, OSError):
                     # died idle; put the spec back and respawn the slot
                     pending.appendleft((idx, spec))
@@ -580,9 +516,7 @@ def run_suite(
     default_timeout_s: float | None = 600.0,
     start_method: str | None = None,
     progress=None,
-    scheduler: str | None = None,
     obs: bool = False,
-    dispatch: str | None = None,
 ) -> SuiteResult:
     """Execute every spec and merge the results deterministically.
 
@@ -590,31 +524,15 @@ def run_suite(
     no process to terminate); ``workers>1`` fans out across a persistent
     process pool with crash isolation and per-task timeouts.
 
-    ``scheduler`` selects the kernel event queue (``"heap"`` or
-    ``"wheel"``) for every task; the schedulers are pop-order
-    equivalent, so ``sim_json()`` is byte-identical under either.
-
-    ``dispatch`` selects the cohort dispatch mode (``"scalar"`` or
-    ``"cohort"``) the same way; the modes are apply-order equivalent,
-    so ``sim_json()`` is byte-identical under either.
-
     ``obs=True`` records spans/metrics inside every task (see
     :mod:`repro.obs`); the docs land on each :class:`TaskResult`'s
     ``obs`` field and leave payloads and ``sim_json()`` untouched.
     """
-    if scheduler is not None and scheduler not in SCHEDULERS:
-        raise ValueError(
-            f"unknown scheduler {scheduler!r}; expected one of {SCHEDULERS}"
-        )
-    if dispatch is not None and dispatch not in DISPATCH_MODES:
-        raise ValueError(
-            f"unknown dispatch mode {dispatch!r}; expected one of {DISPATCH_MODES}"
-        )
     t0 = time.perf_counter()
     if workers <= 1:
         results = []
         for spec in suite.specs:
-            result = run_spec(spec, scheduler, obs, dispatch)
+            result = run_spec(spec, obs)
             results.append(result)
             if progress is not None:
                 progress(result)
@@ -625,16 +543,7 @@ def run_suite(
             default_timeout_s,
             start_method,
             progress,
-            scheduler,
             obs,
-            dispatch,
         )
     wall = time.perf_counter() - t0
-    return SuiteResult(
-        suite.name,
-        workers,
-        wall,
-        list(results),
-        scheduler if scheduler is not None else default_scheduler(),
-        dispatch if dispatch is not None else default_dispatch(),
-    )
+    return SuiteResult(suite.name, workers, wall, list(results))

@@ -5,7 +5,7 @@ north star is a substrate that prices *campaigns*.  This driver deploys a
 GP topology in the 128–256 node range, then pushes hundreds of concurrent
 Globus transfers and thousands of Condor jobs through it, and reports how
 fast the simulator chews through that world: events/second of wall time,
-peak scheduler queue depth, and total wall/sim time.
+peak event-queue depth, and total wall/sim time.
 
 The same harness runs two ways:
 

@@ -3,7 +3,7 @@
 ``BENCH_scale.json`` captures a single snapshot; this module turns it
 into a series.  Every harness run can append a record —
 
-    {commit, date, suite, config_digest, workers, dispatch,
+    {commit, date, suite, config_digest, workers,
      wall_seconds, events_processed, events_per_sec, tasks_ok,
      tasks_failed, peak_rss_mb}
 
@@ -23,9 +23,11 @@ Run as a module it is also the regression gate::
 ``--check`` compares the latest matching trajectory record against the
 committed baseline: events/sec may not fall below the baseline's
 ``min_events_per_sec`` floor (generous, for noisy CI hosts), and — the
-deterministic half — the critical-path per-layer second totals and
+deterministic half — the record's ``events_processed`` must equal the
+baseline's exactly, and the critical-path per-layer second totals and
 makespan must match the baseline exactly (within ``tolerance_s``),
-because span timings come from simulated time, not the host.
+because event counts and span timings come from simulated time, not
+the host.
 """
 
 from __future__ import annotations
@@ -59,9 +61,6 @@ class TrajectoryRecord:
     events_per_sec: float
     tasks_ok: int
     tasks_failed: int
-    #: cohort dispatch mode the run used; records written before the
-    #: mode existed ran the one-event-per-timer path, i.e. "scalar"
-    dispatch: str = "scalar"
     #: peak resident set of the run's process, when the writer measured
     #: it in a process of its own (None for harness suite aggregates)
     peak_rss_mb: Optional[float] = None
@@ -71,6 +70,8 @@ class TrajectoryRecord:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "TrajectoryRecord":
+        # unknown keys (e.g. the ``dispatch`` mode older records carry)
+        # are dropped, so every record ever written still loads
         fields = cls.__dataclass_fields__
         return cls(
             **{
@@ -118,7 +119,6 @@ def from_suite_result(
         events_per_sec=round(events / kernel_wall, 1) if kernel_wall > 0 else 0.0,
         tasks_ok=counts["ok"],
         tasks_failed=counts["failed"] + counts["timeout"],
-        dispatch=result.dispatch,
     )
 
 
@@ -152,7 +152,6 @@ def render(records: list[TrajectoryRecord], last: int | None = None) -> str:
             r.date,
             r.suite,
             r.workers,
-            r.dispatch,
             f"{r.events_per_sec:,.0f}",
             f"{r.wall_seconds:.2f}",
             f"{r.tasks_ok}/{r.tasks_ok + r.tasks_failed}",
@@ -160,8 +159,7 @@ def render(records: list[TrajectoryRecord], last: int | None = None) -> str:
         for r in shown
     ]
     return render_table(
-        ["commit", "date", "suite", "workers", "dispatch", "events/sec",
-         "wall (s)", "ok"],
+        ["commit", "date", "suite", "workers", "events/sec", "wall (s)", "ok"],
         rows,
         title=f"Perf trajectory ({len(records)} runs tracked)",
     )
@@ -181,8 +179,9 @@ def check_against_baseline(
 
     Returns a list of human-readable failures (empty = within bounds).
     The throughput floor is intentionally loose — wall time is host
-    noise — while the critical-path layer totals are exact: they are
-    simulated seconds, so any drift is a behaviour change, not jitter.
+    noise — while the event count and the critical-path layer totals
+    are exact: they come from simulated time, so any drift is a
+    behaviour change, not jitter.
     """
     failures: list[str] = []
     suite = baseline.get("suite")
@@ -204,6 +203,12 @@ def check_against_baseline(
                 f"events/sec regressed: {latest.events_per_sec:,.0f} < "
                 f"floor {float(floor):,.0f} (reference "
                 f"{baseline.get('reference_events_per_sec', 'n/a')})"
+            )
+        want_events = baseline.get("events_processed")
+        if want_events is not None and latest.events_processed != int(want_events):
+            failures.append(
+                f"events_processed drifted: {latest.events_processed:,} vs "
+                f"baseline {int(want_events):,}"
             )
     expected = baseline.get("critpath")
     if expected is not None:

@@ -245,10 +245,9 @@ class MockEC2:
             # jitter draws stay in creation order (one RNG draw per instance)
             boot_times.append(now + self._boot_delay(itype))
             out.append(inst)
-        # One boot cohort per API call: with zero jitter a whole batch
-        # shares a timestamp and enters RUNNING as a single slice.  With
-        # obs on, the cohort carries each member's boot span id so the
-        # causal edge survives the batched RUNNING transition.
+        # One boot cohort per API call.  With obs on, the cohort carries
+        # each member's boot span id so the causal edge survives the
+        # cohort's RUNNING transitions.
         self.ctx.sim.schedule_cohort(
             boot_times,
             self._boot_apply,
@@ -262,20 +261,6 @@ class MockEC2:
 
     def _boot_apply(self, cohort, start: int, stop: int) -> None:
         payload = cohort.payload
-        if stop - start > 1:
-            # Whole same-instant slice: open the billing intervals as one
-            # batch (they are all the same instance type by construction),
-            # then finish each instance's state transition.
-            batch = [
-                i for i in payload[start:stop] if i.state is InstanceState.PENDING
-            ]
-            if batch:
-                self.meter.start_batch(
-                    (i.id for i in batch), batch[0].instance_type, self.ctx.now
-                )
-            for inst in batch:
-                self._enter_running(inst, _metered=True)
-            return
         for k in range(start, stop):
             self._enter_running(payload[k])
 
@@ -286,12 +271,11 @@ class MockEC2:
         jitter = self.ctx.stream("ec2.boot").normal(0.0, self.boot_jitter)
         return max(1.0, base * (1.0 + float(jitter)))
 
-    def _enter_running(self, inst: EC2Instance, _metered: bool = False) -> None:
+    def _enter_running(self, inst: EC2Instance) -> None:
         if inst.state not in (InstanceState.PENDING,):
             return  # terminated while booting
         inst.state = InstanceState.RUNNING
-        if not _metered:  # a batched boot slice already opened the interval
-            self.meter.start(inst.id, inst.instance_type, self.ctx.now)
+        self.meter.start(inst.id, inst.instance_type, self.ctx.now)
         self.ctx.log("ec2", "running", instance=inst.id)
         span = self._boot_spans.pop(inst.id, None)
         if span is not None:

@@ -71,23 +71,6 @@ class BillingMeter:
         self._open[instance_id] = iv
         self.intervals.append(iv)
 
-    def start_batch(
-        self, instance_ids: Iterable[str], instance_type: str, now: float
-    ) -> None:
-        """Open one interval per id, all of the same type at one instant.
-
-        The struct-of-arrays companion to :meth:`start`, used when a boot
-        cohort enters a whole launch batch into RUNNING in one apply.
-        """
-        open_ = self._open
-        intervals = self.intervals
-        for instance_id in instance_ids:
-            if instance_id in open_:
-                raise ValueError(f"{instance_id} is already metered as running")
-            iv = UsageInterval(instance_id, instance_type, start=now)
-            open_[instance_id] = iv
-            intervals.append(iv)
-
     def stop(self, instance_id: str, now: float) -> None:
         iv = self._open.pop(instance_id, None)
         if iv is None:

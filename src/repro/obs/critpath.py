@@ -26,10 +26,9 @@ and say nothing.
 
 Everything here reads the JSON-safe doc form
 (:meth:`~repro.obs.recorder.ObsRecorder.to_dict`), uses only span data
-(never metrics, which legitimately differ across dispatch modes), and
-breaks every tie on deterministic keys — so the critpath document for a
-run is byte-identical across scheduler (heap/wheel) and dispatch
-(scalar/cohort) choices, the property the equivalence tests pin.
+(never metrics), and breaks every tie on deterministic keys — so the
+critpath document for a run is byte-identical across worker counts and
+obs exporters, the property the determinism tests pin.
 """
 
 from __future__ import annotations

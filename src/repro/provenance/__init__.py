@@ -7,8 +7,8 @@ JSON document with five content-digested sections:
 
 * ``calibration`` — the named constants in :mod:`repro.calibration` plus
   their digest, so replays on drifted calibration fail loudly;
-* ``scenario`` — the benchmark suite spec (task names, params,
-  scheduler, dispatch): the deterministic reconstruction recipe;
+* ``scenario`` — the benchmark suite spec (task names, params): the
+  deterministic reconstruction recipe;
 * ``seeds`` — the RNG seeds, lifted out as their own section so seed
   tampering is a first-class detectable corruption;
 * ``topology`` — the deployed topology/update specs, captured via
@@ -19,7 +19,7 @@ JSON document with five content-digested sections:
 ``gp-replay`` (:mod:`repro.provenance.cli`) verifies bundle integrity,
 re-executes the scenario, and either proves byte-identity (exit 0),
 reports the first structured divergence (exit 1), or — with
-``--override instance_type=... / scheduler=... / dispatch=... / seed=...``
+``--override instance_type=... / seed=...``
 — runs the same trace under altered knobs and emits a makespan/cost/
 events comparison report.
 """

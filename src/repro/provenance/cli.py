@@ -6,7 +6,7 @@ Examples::
     gp-replay smoke.bundle.json --check-only     # integrity/calibration only
     gp-replay smoke.bundle.json --export-sim sim.json   # extract bundled sim
     gp-replay usecase.bundle.json --override instance_type=c1.medium
-    gp-replay smoke.bundle.json --override scheduler=wheel --override dispatch=scalar
+    gp-replay smoke.bundle.json --override seed=7
 
 Exit status:
 
@@ -46,9 +46,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=[],
         metavar="KEY=VALUE",
         help=(
-            "counterfactual knob (repeatable): instance_type=..., "
-            "scheduler=heap|wheel, dispatch=scalar|cohort, seed=N; any"
-            " override switches from byte-identity verification to a"
+            "counterfactual knob (repeatable): instance_type=..., seed=N;"
+            " any override switches from byte-identity verification to a"
             " comparison report"
         ),
     )

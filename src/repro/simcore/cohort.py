@@ -1,41 +1,29 @@
 """Cohort events: struct-of-arrays batch scheduling for homogeneous timers.
 
 Large simulations are dominated by *populations* of identical timers —
-GridFTP chunk completions, Condor job completions, EC2 boot delays.  The
-scalar path allocates one :class:`~repro.simcore.events.SimEvent` (often
-a whole generator resume) per timer.  An :class:`EventCohort` registers N
-such timers as one record: NumPy arrays of fire times, optional entity
-ids and payload scalars, and a single ``apply(cohort, start, stop)``
-callback that the kernel invokes for whole runs of members.
+GridFTP chunk completions, Condor job completions, EC2 boot delays.
+Scheduling each as its own timeout allocates a full
+:class:`~repro.simcore.events.SimEvent` (often a whole generator resume)
+per timer.  An :class:`EventCohort` registers N such timers as one
+record: NumPy arrays of fire times, optional entity ids and payload
+scalars, and a single ``apply(cohort, start, stop)`` callback.
 
-Dispatch modes (see ``Simulator(dispatch=...)``):
-
-* ``"scalar"`` — the reference implementation: one queue entry and one
-  kernel pop per member, each calling ``apply(cohort, k, k + 1)``.
-* ``"cohort"`` — maximal runs of *consecutive-index, equal-time* members
-  collapse into one queue entry (:class:`_CohortSlice`); the kernel pops
-  the run once and calls ``apply(cohort, i, j)`` for the whole slice.
+Each member is one queue entry: the kernel pops it like any other timer
+and calls ``apply(cohort, k, k + 1)``.  What the cohort saves is the
+producer's side — one registration, one shared callback list and no
+per-member closure or generator.
 
 Ordering contract
 -----------------
-Both modes stage members into the kernel's pending list at registration
-time with freshly drawn insertion ids, in member-index order.  Insertion
-ids are globally monotonic, so members keep their position relative to
-every other event in the simulation, and members of one run execute in
-ascending index order in both modes.  Absolute ids differ between modes
-(a run consumes one id instead of n); only relative order is observable.
+Members are staged into the kernel's pending list at registration time
+with freshly drawn insertion ids, in member-index order.  Insertion ids
+are globally monotonic, so members keep their position relative to every
+other event in the simulation, and members sharing a fire time execute
+in ascending index order.  ``events_processed`` and the queue depth
+count members exactly like plain timers.
 
-``apply`` must be mode-agnostic: processing members ``[start, stop)`` in
-index order has to produce byte-identical effects whether it is called
-per member or per run.  Two patterns keep the kernel's
-``peak_queue_depth`` accounting exact for same-timestamp runs (sizes-1
-runs are trivially exact): either **every** member's apply schedules at
-least one event, or **no** member except possibly the last schedules
-any.  Mixed populations should register separate cohorts.
-
-``events_processed`` counts members, not queue entries: a fired slice
-adds its extra ``n - 1`` members to the counter, so both dispatch modes
-report identical totals (the number is part of the pinned sim JSON).
+Registration is all-or-nothing: every fire time is checked before any
+member is staged, so a rejected cohort leaves nothing behind.
 """
 
 from __future__ import annotations
@@ -49,16 +37,13 @@ from .events import SimEvent
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .kernel import Simulator
 
-__all__ = ["EventCohort", "COHORT_SIZE_BUCKETS"]
-
-#: power-of-two buckets for the ``cohort.size`` obs histogram
-COHORT_SIZE_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0)
+__all__ = ["EventCohort"]
 
 ApplyFn = Callable[["EventCohort", int, int], None]
 
 
 class _CohortMember(SimEvent):
-    """Scalar-dispatch carrier: one queue entry for member ``index``.
+    """One queue entry for member ``index``.
 
     Allocated inline by :class:`EventCohort` via ``__new__`` (members
     are created in bulk; even a flat ``__init__`` call is measurable at
@@ -69,16 +54,6 @@ class _CohortMember(SimEvent):
     """
 
     __slots__ = ("index",)
-
-
-class _CohortSlice(SimEvent):
-    """Cohort-dispatch carrier: one queue entry for members ``[start, stop)``.
-
-    Allocated inline like :class:`_CohortMember`, with ``start``/``stop``
-    in place of ``index``.
-    """
-
-    __slots__ = ("start", "stop")
 
 
 class EventCohort:
@@ -117,7 +92,7 @@ class EventCohort:
         # Opaque causal baggage for observability: producers stash the obs
         # span id(s) that provoked this cohort (one id, or a per-member
         # sequence) so `apply` can thread cause links onto spans it opens
-        # even though dispatch batches the members.  The kernel never
+        # without a per-member closure.  The kernel never
         # reads it; None (the obs-off default) costs one slot write.
         self.cause = cause
         # Kept as handed in; normalized to float64 lazily (see `times`).
@@ -136,47 +111,23 @@ class EventCohort:
             return
         tl = times.tolist() if isinstance(times, np.ndarray) else times
         now = sim._now
+        # Check every time before staging any member: a rejected cohort
+        # must not leave earlier members queued.  ``not (t >= now)`` also
+        # rejects NaN, which every ordered comparison answers False.
+        for t in tl:
+            if not (t >= now):
+                raise ValueError(f"cohort fire time in the past ({t} < {now})")
         pending = sim._pending
         eid = sim._eid
-        if sim._dispatch == "scalar":
-            cbs = [self._fire_member]
-            new = _CohortMember.__new__
-            for k in range(n):
-                t = tl[k]
-                if t < now:
-                    raise ValueError(f"cohort fire time in the past ({t} < {now})")
-                ev = new(_CohortMember)
-                ev.callbacks = cbs
-                ev._ok = True
-                ev._defused = False
-                ev.index = k
-                pending.append((t, next(eid), ev))
-            return
-        # Cohort dispatch: collapse maximal runs of consecutive members
-        # sharing a timestamp into one slice entry.  One insertion id per
-        # run keeps relative order against all other events identical to
-        # the scalar staging above.
-        cbs = [self._fire_slice]
-        new = _CohortSlice.__new__
-        extra = 0
-        i = 0
-        while i < n:
-            t = tl[i]
-            if t < now:
-                raise ValueError(f"cohort fire time in the past ({t} < {now})")
-            j = i + 1
-            while j < n and tl[j] == t:
-                j += 1
-            ev = new(_CohortSlice)
+        cbs = [self._fire_member]
+        new = _CohortMember.__new__
+        for k in range(n):
+            ev = new(_CohortMember)
             ev.callbacks = cbs
             ev._ok = True
             ev._defused = False
-            ev.start = i
-            ev.stop = j
-            pending.append((t, next(eid), ev))
-            extra += j - i - 1
-            i = j
-        sim._cohort_extra += extra
+            ev.index = k
+            pending.append((tl[k], next(eid), ev))
 
     @property
     def times(self) -> np.ndarray:
@@ -188,46 +139,12 @@ class EventCohort:
 
     # -- kernel callbacks --------------------------------------------------
     def _fire_member(self, ev: SimEvent) -> None:
-        """Scalar path: apply exactly one member."""
+        """Apply exactly one member."""
         k = ev.index  # type: ignore[attr-defined]
         self.apply(self, k, k + 1)
         obs = self.sim.obs
         if obs.enabled:
-            obs.counter(f"cohort.events.{self.layer}.scalar").inc()
+            obs.counter(f"cohort.events.{self.layer}").inc()
         self._remaining -= 1
         if self._remaining == 0:
             self.done.succeed(self)
-
-    def _fire_slice(self, ev: SimEvent) -> None:
-        """Cohort path: apply a whole same-timestamp run in one call."""
-        start = ev.start  # type: ignore[attr-defined]
-        stop = ev.stop  # type: ignore[attr-defined]
-        n = stop - start
-        sim = self.sim
-        if n > 1:
-            # The kernel counted one pop; credit the collapsed members so
-            # events_processed (pinned in sim JSON) matches scalar mode,
-            # and retire their share of the depth compensation.
-            sim.events_processed += n - 1
-            sim._cohort_extra -= n - 1
-        self.apply(self, start, stop)
-        obs = sim.obs
-        if obs.enabled:
-            obs.histogram("cohort.size", bounds=COHORT_SIZE_BUCKETS).observe(n)
-            obs.counter(f"cohort.events.{self.layer}.cohort").inc(n)
-        self._remaining -= n
-        if self._remaining == 0:
-            self.done.succeed(self)
-
-
-def schedule_cohort(
-    sim: "Simulator",
-    times: Sequence[float],
-    apply: ApplyFn,
-    payload: object = None,
-    entity_ids: object = None,
-    layer: str = "cohort",
-    cause: object = None,
-) -> EventCohort:
-    """Register ``times`` as one cohort (see :class:`EventCohort`)."""
-    return EventCohort(sim, times, apply, payload, entity_ids, layer, cause)

@@ -141,7 +141,9 @@ class Timeout(SimEvent):
     __slots__ = ("delay",)
 
     def __init__(self, sim: "Simulator", delay: float, value: object = None) -> None:
-        if delay < 0:
+        # ``not (delay >= 0)`` rejects NaN too, which ``delay < 0`` lets
+        # through (every ordered comparison with NaN is False)
+        if not (delay >= 0):
             raise ValueError(f"negative delay {delay}")
         self.sim = sim
         self.callbacks = []

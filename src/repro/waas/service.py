@@ -20,8 +20,7 @@ Two scale-critical choices:
   runs.
 
 The service never draws randomness: arrivals are precomputed and
-execution is reactive, so obs-on and obs-off runs (and scalar vs
-cohort dispatch) stay byte-identical.
+execution is reactive, so obs-on and obs-off runs stay byte-identical.
 """
 
 from __future__ import annotations

@@ -184,3 +184,22 @@ def test_combined_suite_concatenates_in_registry_order():
 def test_unknown_suite_name_raises():
     with pytest.raises(KeyError):
         suites.get("nope")
+
+
+@pytest.mark.parametrize(
+    "argv", [["--scheduler", "heap"], ["--dispatch", "scalar"]]
+)
+def test_cli_rejects_retired_kernel_flags(argv, capsys):
+    """The kernel has one event path; its old selector flags are unknown."""
+    from repro.bench.cli import main as cli_main
+
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["usecase", "--smoke", "-q", *argv])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_result_documents_name_no_kernel_knobs():
+    result = run_suite(suites.usecase_suite(smoke=True), workers=1)
+    for doc in (result.to_dict(), result.sim_dict(), result.scenario_dict()):
+        assert "scheduler" not in doc and "dispatch" not in doc

@@ -39,6 +39,20 @@ def test_append_and_load_round_trip(tmp_path):
     assert [d["commit"] for d in doc] == ["aaaa111", "bbbb222"]
 
 
+def test_records_carrying_a_dispatch_mode_still_load_and_render(tmp_path):
+    """Records written while the kernel had dispatch modes carry a
+    ``dispatch`` key; loading drops it and rendering still works."""
+    path = tmp_path / "traj.json"
+    old = dict(_record(commit="0ld0ld0").to_dict(), dispatch="cohort")
+    path.write_text(json.dumps([old]))
+    [record] = trajectory.load(path)
+    assert record == _record(commit="0ld0ld0")
+    assert "dispatch" not in record.to_dict()
+    table = trajectory.render([record])
+    assert "0ld0ld0" in table
+    assert "dispatch" not in table
+
+
 def test_from_suite_result_aggregates_kernel_counters():
     result = run_suite(suites.scale_suite(smoke=True), workers=1)
     record = trajectory.from_suite_result(result, commit="c0ffee1", date="2026-08-07")
@@ -50,6 +64,21 @@ def test_from_suite_result_aggregates_kernel_counters():
     assert record.events_per_sec > 0
     assert record.tasks_ok == len(result.tasks)
     assert record.tasks_failed == 0
+
+
+def test_scale_smoke_event_count_matches_committed_baseline():
+    """The gate's exact pin holds for the code as it stands."""
+    import pathlib
+
+    path = pathlib.Path(__file__).resolve().parents[2] / (
+        "benchmarks/results/trajectory_baseline.json"
+    )
+    baseline = json.loads(path.read_text())
+    # the suite `gp-bench scale --smoke` runs, named as the gate expects
+    result = run_suite(suites.combined(["scale"], smoke=True), workers=1)
+    record = trajectory.from_suite_result(result, commit="c0ffee1", date="d")
+    assert record.suite == baseline["suite"]
+    assert record.events_processed == baseline["events_processed"]
 
 
 def test_from_suite_result_without_kernel_counters():
@@ -147,6 +176,16 @@ def test_check_names_makespan_drift_and_missing_critpath():
     assert any("no --critpath file" in f for f in failures)
 
 
+def test_check_pins_events_processed_exactly():
+    baseline = _baseline(events_processed=20000)
+    assert trajectory.check_against_baseline(baseline, [_record()], _critpath()) == []
+    for drifted in (19999, 20001):
+        failures = trajectory.check_against_baseline(
+            baseline, [_record(events_processed=drifted)], _critpath()
+        )
+        assert any("events_processed drifted" in f for f in failures)
+
+
 def test_check_uses_latest_matching_record():
     records = [_record(events_per_sec=5000.0), _record(events_per_sec=20000.0)]
     assert trajectory.check_against_baseline(_baseline(), records, _critpath()) == []
@@ -201,6 +240,7 @@ def test_committed_baseline_matches_the_schema():
     doc = json.loads(path.read_text())
     assert doc["suite"] == "scale-smoke"
     assert doc["min_events_per_sec"] > 0
+    assert isinstance(doc["events_processed"], int) and doc["events_processed"] > 0
     layers = doc["critpath"]["layers"]
     assert layers and all(v >= 0 for v in layers.values())
     assert doc["critpath"]["makespan_s"] > 0

@@ -69,15 +69,6 @@ def test_sim_json_invariant_across_workers():
     assert seq.sim_json() == par.sim_json()
 
 
-def test_sim_json_invariant_across_dispatch_and_scheduler():
-    suite = _tiny_suite()
-    base = run_suite(suite, workers=1)
-    scalar = run_suite(suite, workers=1, dispatch="scalar")
-    wheel = run_suite(suite, workers=1, scheduler="wheel")
-    assert base.ok and scalar.ok and wheel.ok
-    assert base.sim_json() == scalar.sim_json() == wheel.sim_json()
-
-
 def test_sim_json_invariant_under_observability():
     suite = _tiny_suite()
     off = run_suite(suite, workers=1)

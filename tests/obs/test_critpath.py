@@ -4,9 +4,9 @@ The pinned invariants: the walk is contiguous backward coverage, so the
 critical-path length equals the makespan exactly and is therefore (a)
 never longer than the makespan and (b) never shorter than the longest
 single operational span; container spans (``kernel.run``) never become
-chain nodes; and the resulting document is byte-identical across the
-scheduler (heap/wheel) x dispatch (scalar/cohort) matrix because it is
-built from spans only, never metrics.
+chain nodes; and the resulting document is byte-identical whether the
+run happened in-process or in a pool worker, because it is built from
+spans only, never metrics.
 """
 
 import json
@@ -180,27 +180,24 @@ def test_usecase_path_covers_makespan_and_contains_longest_span():
 
 
 @pytest.fixture(scope="module")
-def critpath_matrix():
+def critpath_blobs():
     out = {}
-    for scheduler in ("heap", "wheel"):
-        for dispatch in ("scalar", "cohort"):
-            result = run_suite(
-                tiny_suite(), obs=True, scheduler=scheduler, dispatch=dispatch
-            )
-            assert result.ok
-            doc = critpath_doc(result.obs_docs(), suite="tiny")
-            out[(scheduler, dispatch)] = json.dumps(doc, sort_keys=True)
+    for workers in (1, 2):
+        result = run_suite(tiny_suite(), workers=workers, obs=True)
+        assert result.ok
+        doc = critpath_doc(result.obs_docs(), suite="tiny")
+        out[workers] = json.dumps(doc, sort_keys=True)
     return out
 
 
-def test_critpath_doc_is_byte_identical_across_matrix(critpath_matrix):
-    blobs = set(critpath_matrix.values())
-    assert len(blobs) == 1, "critpath doc differs across scheduler/dispatch"
+def test_critpath_doc_is_byte_identical_sequential_vs_pooled(critpath_blobs):
+    blobs = set(critpath_blobs.values())
+    assert len(blobs) == 1, "critpath doc differs between in-process and pool"
 
 
-def test_critpath_doc_from_real_run_is_schema_valid(critpath_matrix):
+def test_critpath_doc_from_real_run_is_schema_valid(critpath_blobs):
     from repro.obs.validate import check_critpath
 
-    doc = json.loads(next(iter(critpath_matrix.values())))
+    doc = json.loads(next(iter(critpath_blobs.values())))
     assert check_critpath(doc) == []
     assert doc["layers"], "expected non-empty layer attribution"

@@ -26,8 +26,7 @@ def test_build_bundle_sections(tiny_result, tiny_bundle):
         json.dumps(calibration.snapshot())
     )
     assert b.scenario["suite"] == "tiny"
-    assert b.scenario["scheduler"] == tiny_result.scheduler
-    assert b.scenario["dispatch"] == tiny_result.dispatch
+    assert set(b.scenario) == {"suite", "specs"}
     assert [s["name"] for s in b.scenario["specs"]] == ["scale/tiny"]
     assert b.seeds == {"scale/tiny": 0}
     assert b.sim == json.loads(json.dumps(tiny_result.sim_dict()))

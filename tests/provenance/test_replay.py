@@ -1,4 +1,4 @@
-"""Replay: byte-identity across the scheduler/dispatch matrix,
+"""Replay: byte-identity, bundles that carry retired kernel knobs,
 counterfactual comparisons, override parsing, and the gp-replay CLI."""
 
 import json
@@ -19,21 +19,51 @@ from repro.provenance.cli import main
 from .conftest import tiny_suite
 
 
-@pytest.mark.parametrize("scheduler", ["heap", "wheel"])
-@pytest.mark.parametrize("dispatch", ["scalar", "cohort"])
-def test_replay_is_byte_identical_across_matrix(scheduler, dispatch):
-    result = run_suite(
-        tiny_suite(), obs=True, scheduler=scheduler, dispatch=dispatch
-    )
-    bundle = build_bundle(result)
-    assert bundle.scenario["scheduler"] == scheduler
-    assert bundle.scenario["dispatch"] == dispatch
-    report = replay(bundle)
+def test_replay_is_byte_identical():
+    result = run_suite(tiny_suite(), obs=True)
+    report = replay(build_bundle(result))
     assert report.mode == "verify"
     assert report.verified is True
     assert report.divergence is None
-    assert report.scheduler == scheduler
-    assert report.dispatch == dispatch
+
+
+def _with_kernel_knobs(bundle, tmp_path, scheduler, dispatch):
+    """The bundle as an older writer produced it: the scenario section
+    also names the kernel scheduler and dispatch mode, and every digest
+    covers them."""
+    from repro.provenance.bundle import content_digest
+
+    path = write_bundle(bundle, tmp_path / "knobs.bundle.json")
+    doc = json.loads(path.read_text())
+    doc["sections"]["scenario"].update(scheduler=scheduler, dispatch=dispatch)
+    doc["section_digests"]["scenario"] = content_digest(
+        doc["sections"]["scenario"]
+    )
+    doc["digest"] = content_digest(doc["section_digests"])
+    path.write_text(json.dumps(doc, sort_keys=True) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("scheduler", ["heap", "wheel"])
+@pytest.mark.parametrize("dispatch", ["scalar", "cohort"])
+def test_replay_is_byte_identical_across_matrix(
+    tiny_bundle, tmp_path, scheduler, dispatch
+):
+    """Bundles written under any of the retired kernel modes still verify
+    and replay byte-identically; the one kernel ignores the knobs."""
+    from repro.provenance import read_bundle, verify_bundle
+
+    path = _with_kernel_knobs(tiny_bundle, tmp_path, scheduler, dispatch)
+    old = read_bundle(path)
+    assert old.scenario["scheduler"] == scheduler
+    assert old.scenario["dispatch"] == dispatch
+    assert old.digest() != tiny_bundle.digest()  # the knobs are digested
+    verify_bundle(old)
+    report = replay(old)
+    assert report.mode == "verify"
+    assert report.verified is True
+    assert report.divergence is None
+    assert main([str(path), "-q"]) == 0
 
 
 def test_rebuild_suite_reapplies_seeds(tiny_bundle):
@@ -84,13 +114,6 @@ def test_counterfactual_instance_type_reports_deltas(tiny_bundle):
     assert "counterfactual" in report.render()
 
 
-def test_counterfactual_scheduler_is_an_equivalence_proof(tiny_bundle):
-    report = replay(tiny_bundle, overrides={"scheduler": "wheel"})
-    assert report.mode == "counterfactual"
-    assert report.scheduler == "wheel"
-    assert all(row["delta"] == 0 for row in report.comparison)
-
-
 def test_counterfactual_seed_changes_outcome(tiny_bundle):
     report = replay(tiny_bundle, overrides={"seed": 3})
     assert report.mode == "counterfactual"
@@ -107,11 +130,14 @@ def test_replay_report_round_trips_through_json(tiny_bundle):
 
 def test_parse_overrides():
     assert parse_overrides([]) == {}
-    assert parse_overrides(["seed=5", "scheduler=wheel"]) == {
+    assert parse_overrides(["seed=5", "instance_type=c1.medium"]) == {
         "seed": 5,
-        "scheduler": "wheel",
+        "instance_type": "c1.medium",
     }
-    for bad in ["nonsense", "=x", "seed=", "warp_factor=9"]:
+    for bad in [
+        "nonsense", "=x", "seed=", "warp_factor=9", "scheduler=heap",
+        "dispatch=scalar",
+    ]:
         with pytest.raises(BundleError) as exc:
             parse_overrides([bad])
         assert exc.value.code == "override.unknown"
@@ -159,6 +185,13 @@ def test_cli_counterfactual_exit_zero(bundle_path, capsys):
 
 def test_cli_bad_override_exit_two(bundle_path, capsys):
     assert main([str(bundle_path), "--override", "warp=9"]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["code"] == "override.unknown"
+
+
+@pytest.mark.parametrize("knob", ["scheduler=heap", "dispatch=scalar"])
+def test_cli_retired_kernel_override_exit_two(bundle_path, capsys, knob):
+    assert main([str(bundle_path), "--override", knob]) == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"]["code"] == "override.unknown"
 

@@ -65,25 +65,21 @@ def test_serialization_round_trip_is_lossless(scenario, seeds, topology, spans, 
     transfers=st.integers(1, 3),
     jobs=st.integers(1, 6),
     seed=st.integers(0, 3),
-    scheduler=st.sampled_from(["heap", "wheel"]),
-    dispatch=st.sampled_from(["scalar", "cohort"]),
 )
 @settings(
     max_examples=6,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-def test_random_tiny_scenarios_replay_byte_identically(
-    workers, transfers, jobs, seed, scheduler, dispatch
-):
+def test_random_tiny_scenarios_replay_byte_identically(workers, transfers, jobs, seed):
     suite = tiny_suite(workers=workers, transfers=transfers, jobs=jobs, seed=seed)
-    result = run_suite(suite, obs=True, scheduler=scheduler, dispatch=dispatch)
+    result = run_suite(suite, obs=True)
     assert result.ok
     bundle = build_bundle(result)
     loaded = ProvenanceBundle.from_dict(json.loads(bundle.to_json()))
     assert loaded == bundle
     report = replay(loaded)
     assert report.verified is True, (
-        f"replay diverged for {workers=} {transfers=} {jobs=} {seed=}"
-        f" {scheduler=} {dispatch=}: {report.divergence}"
+        f"replay diverged for {workers=} {transfers=} {jobs=} {seed=}:"
+        f" {report.divergence}"
     )

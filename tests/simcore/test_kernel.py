@@ -415,3 +415,66 @@ def test_obs_records_one_kernel_run_span_per_call():
     assert [s.attrs["events"] for s in spans] == [1, 1]
     assert rec.metrics.counter("kernel.runs").value == 2
     assert rec.metrics.counter("kernel.events").value == sim.events_processed
+
+
+def test_queue_depth_counts_staged_flushed_and_drained():
+    """Depth across the staged -> flushed -> drained lifecycle.
+
+    Zero-delay FIFO events, unflushed staged timers and heap entries all
+    count, including after ``peek`` forces the staged flush.
+    """
+    sim = Simulator()
+    for _ in range(3):
+        sim.timeout(0.0)  # zero-delay FIFO (immediate deque)
+    for i in range(4):
+        sim.timeout(1.0 + i)  # staged timers, not yet flushed
+    sim.timeout(1e9)
+    staged = sim.queue_depth
+    next_t = sim.peek()  # forces the flush into the heap
+    flushed = sim.queue_depth
+    sim.run()
+    observed = (staged, next_t, flushed, sim.events_processed, sim.queue_depth)
+    assert observed == (8, 0.0, 8, 8, 0)
+
+
+def test_cancelled_timer_defuses_without_firing():
+    """The kernel's cancel idiom (defuse a failed event) drains cleanly."""
+    sim = Simulator()
+    fired = []
+    ok = sim.timeout(1.0)
+    ok.callbacks.append(lambda ev: fired.append("ok"))
+    doomed = sim.event()
+    doomed.fail(RuntimeError("cancelled"))
+    doomed.defused = True  # nobody will wait on it: swallow the failure
+    sim.run()
+    assert fired == ["ok"]
+
+
+# -- NaN times are rejected, not fired at the current clock ------------------
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "schedule",
+    [
+        lambda sim: sim.timeout(NAN),
+        lambda sim: sim.call_in(NAN, lambda: None),
+        lambda sim: sim.call_at(NAN, lambda: None),
+        lambda sim: sim.schedule_cohort([1.0, NAN], lambda c, i, j: None),
+    ],
+    ids=["timeout", "call_in", "call_at", "schedule_cohort"],
+)
+def test_nan_time_rejected(schedule):
+    """Every ordered comparison with NaN is False, so a ``< now`` guard
+    would let a NaN timer through to fire ahead of earlier timers."""
+    sim = Simulator()
+    order = []
+    for t in (1.0, 2.0, 3.0, 4.0):
+        sim.call_in(t, lambda t=t: order.append(t))
+    with pytest.raises(ValueError):
+        schedule(sim)
+    assert sim.queue_depth == 4
+    sim.run()
+    assert order == [1.0, 2.0, 3.0, 4.0]
+    assert sim.events_processed == 4

@@ -90,33 +90,13 @@ def test_bench_job_runs_smoke_harness_and_determinism(workflow):
     assert any("test_determinism" in c for c in commands)
 
 
-def test_bench_job_diffs_sim_json_across_schedulers(workflow):
-    """The smoke sweep must run under both schedulers and byte-compare."""
-    commands = [s.get("run", "") for s in _steps(workflow, "bench-smoke")]
-    wheel = [c for c in commands if "--scheduler wheel" in c]
-    assert wheel, "bench-smoke must rerun the sweep under the calendar wheel"
-    assert any("cmp" in c and "wheel" in c for c in wheel)
-
-
-def test_bench_job_diffs_sim_json_across_dispatch_modes(workflow):
-    """The smoke sweep must rerun under scalar dispatch and byte-compare."""
-    commands = [s.get("run", "") for s in _steps(workflow, "bench-smoke")]
-    scalar = [c for c in commands if "--dispatch scalar" in c]
-    assert scalar, "bench-smoke must rerun the sweep under scalar dispatch"
-    assert any("cmp" in c and "scalar" in c for c in scalar)
-
-
-def test_bench_job_schema_checks_trajectory_record(workflow):
-    """A --trajectory run is appended and its record schema-checked."""
-    commands = [s.get("run", "") for s in _steps(workflow, "bench-smoke")]
-    traj = [c for c in commands if "--trajectory" in c]
-    assert traj, "bench-smoke must exercise --trajectory"
-    assert any("TrajectoryRecord.from_dict" in c for c in traj), (
-        "the appended trajectory record must be schema-checked"
-    )
-    assert any("dispatch" in c for c in traj), (
-        "the schema check must cover the dispatch field"
-    )
+def test_no_step_selects_a_kernel_mode(workflow):
+    """The kernel has one event path; no CI step may pass a mode flag."""
+    commands = [
+        s.get("run", "") for job in workflow["jobs"].values() for s in job["steps"]
+    ]
+    for flag in ("--scheduler", "--dispatch", "REPRO_SIM_"):
+        assert not any(flag in c for c in commands), f"stale kernel knob {flag}"
 
 
 def test_bench_job_runs_pricing_sweep_smoke(workflow):
@@ -211,19 +191,16 @@ def test_bench_job_bundles_and_replays_smoke(workflow):
     ), "the bundled sim must be byte-compared against the committed baseline"
 
 
-def test_bench_job_replays_full_scheduler_dispatch_matrix(workflow):
-    """Acceptance criterion: bundles replay byte-identically under every
-    scheduler x dispatch combination."""
+def test_bench_job_replays_scale_smoke_bundle(workflow):
+    """A scale-smoke bundle is written and replayed byte-identically."""
     commands = [s.get("run", "") for s in _steps(workflow, "bench-smoke")]
-    matrix = [
+    replays = [
         c
         for c in commands
-        if "--bundle-out" in c and "repro.provenance.cli" in c
-        and all(word in c for word in ("heap", "wheel", "scalar", "cohort"))
+        if "repro.bench scale --smoke" in c and "--bundle-out" in c
+        and "repro.provenance.cli" in c and "scale-smoke.bundle.json" in c
     ]
-    assert matrix, (
-        "bench-smoke must replay bundles for all four scheduler x dispatch combos"
-    )
+    assert replays, "bench-smoke must bundle and replay the scale smoke suite"
 
 
 def test_bench_job_rejects_corrupted_bundle(workflow):
@@ -297,6 +274,7 @@ def test_trajectory_baseline_is_committed():
 
     doc = json.loads(baseline.read_text())
     assert doc["critpath"]["layers"], "baseline must pin critical-path layers"
+    assert doc["events_processed"] > 0, "baseline must pin the event count"
 
 
 def test_bench_job_rejects_tampered_span_log(workflow):
