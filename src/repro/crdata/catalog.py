@@ -180,16 +180,16 @@ BATCH_WORK_MODELS: dict[Callable, Callable] = {
 
 def _write_top_table(run: ToolRunContext, result: diffexpr.ModeratedTResult, n: int):
     run.output("top_table").write(result.as_tsv(n).encode())
-    sig = result.significant(0.05)
+    hot = result.adj_p_value <= 0.05
     run.output("top_table").set_info(
-        f"{len(sig)} probes at FDR<=0.05 (prior df={result.d0:.2f})"
+        f"{np.count_nonzero(hot)} probes at FDR<=0.05 (prior df={result.d0:.2f})"
     )
     if "figure" in run.outputs:
-        neglog = -np.log10(np.maximum([r.p_value for r in result.rows], 1e-300))
-        lfc = np.array([r.log_fc for r in result.rows])
-        hot = np.array([r.adj_p_value <= 0.05 for r in result.rows])
+        neglog = -np.log10(np.maximum(result.p_value, 1e-300))
         run.output("figure").write(
-            plots.scatter_svg(lfc, neglog, "Differential expression volcano", hot).encode()
+            plots.scatter_svg(
+                result.log_fc, neglog, "Differential expression volcano", hot
+            ).encode()
         )
 
 
@@ -355,11 +355,10 @@ def affy_volcano(run: ToolRunContext) -> None:
     em = load_expression(run.input(0))
     mask = two_group_mask(em.groups)
     res = diffexpr.moderated_t_test(em.values, mask, em.probe_names)
-    lfc = np.array([r.log_fc for r in res.rows])
-    neglog = -np.log10(np.maximum([r.p_value for r in res.rows], 1e-300))
-    hot = np.array([r.adj_p_value <= float(run.params.get("fdr", 0.05)) for r in res.rows])
+    neglog = -np.log10(np.maximum(res.p_value, 1e-300))
+    hot = res.adj_p_value <= float(run.params.get("fdr", 0.05))
     run.output("figure").write(
-        plots.scatter_svg(lfc, neglog, "Volcano plot", hot).encode()
+        plots.scatter_svg(res.log_fc, neglog, "Volcano plot", hot).encode()
     )
 
 

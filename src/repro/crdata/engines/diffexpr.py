@@ -14,6 +14,7 @@ for multi-group designs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import special, stats
@@ -39,36 +40,46 @@ TOP_TABLE_HEADER = "probe\tlogFC\tAveExpr\tt\tP.Value\tadj.P.Val"
 
 
 def benjamini_hochberg(p_values: np.ndarray) -> np.ndarray:
-    """BH step-up FDR adjustment."""
+    """BH step-up FDR adjustment.
+
+    As R's ``p.adjust``: NaN p-values stay NaN and the rest are adjusted
+    with n = the number of non-NaN p-values.
+    """
     p = np.asarray(p_values, dtype=float)
-    n = p.size
-    order = np.argsort(p)
-    ranked = p[order] * n / (np.arange(n) + 1)
+    out = np.full(p.size, np.nan)
+    ok = ~np.isnan(p)
+    q = p[ok]
+    n = q.size
+    order = np.argsort(q)
+    ranked = q[order] * n / (np.arange(n) + 1)
     # enforce monotonicity from the largest p downwards
     ranked = np.minimum.accumulate(ranked[::-1])[::-1]
-    out = np.empty(n)
-    out[order] = np.clip(ranked, 0.0, 1.0)
+    adj = np.empty(n)
+    adj[order] = np.clip(ranked, 0.0, 1.0)
+    out[ok] = adj
     return out
 
 
 def _moment_match_prior(s2: np.ndarray, df: float) -> tuple[float, float]:
     """Estimate the inverse-chi-square prior (d0, s0^2) from sample variances.
 
-    Method of moments on log variances, following limma's fitFDist.
+    Method of moments on log variances, following limma's fitFDist,
+    which also leaves non-finite variances (probes with NaNs) out.
     """
-    s2 = np.maximum(s2, 1e-12)
+    s2 = np.maximum(s2[np.isfinite(s2)], 1e-12)
     z = np.log(s2)
     e_z = z.mean()
     v_z = z.var(ddof=1) if z.size > 1 else 0.0
-    # var(log s^2) = trigamma(df/2) + trigamma(d0/2)
-    rest = v_z - special.polygamma(1, df / 2.0)
+    # var(log s^2) = trigamma(df/2) + trigamma(d0/2); trigamma(x) is
+    # zeta(2, x), which is what special.polygamma(1, x) evaluates
+    rest = v_z - special.zeta(2, df / 2.0)
     if rest <= 1e-8:
         return np.inf, float(np.exp(e_z))  # variances essentially equal
     # invert trigamma by bisection
     lo, hi = 1e-6, 1e6
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if special.polygamma(1, mid) > rest:
+        if special.zeta(2, mid) > rest:
             lo = mid
         else:
             hi = mid
@@ -80,21 +91,65 @@ def _moment_match_prior(s2: np.ndarray, df: float) -> tuple[float, float]:
     return float(d0), float(s02)
 
 
-@dataclass
+@dataclass(eq=False)
 class ModeratedTResult:
-    rows: list[TopTableRow]
+    """A top table held as per-probe arrays, sorted by p-value.
+
+    NaN p-values sort last.  ``TopTableRow`` objects are built only for
+    the rows a caller asks for; ``rows`` builds them all, once.
+    """
+
+    names: list[str]
+    order: np.ndarray  # names[order[i]] is the probe of row i
+    log_fc: np.ndarray
+    mean_expr: np.ndarray
+    t_stat: np.ndarray
+    p_value: np.ndarray
+    adj_p_value: np.ndarray
     d0: float
     s0_sq: float
 
+    def _rows(self, stop: int | None = None) -> list[TopTableRow]:
+        cut = slice(None, stop)
+        return [
+            TopTableRow(self.names[i], *vals)
+            for i, *vals in zip(
+                self.order[cut].tolist(),
+                self.log_fc[cut].tolist(),
+                self.mean_expr[cut].tolist(),
+                self.t_stat[cut].tolist(),
+                self.p_value[cut].tolist(),
+                self.adj_p_value[cut].tolist(),
+            )
+        ]
+
+    @cached_property
+    def rows(self) -> list[TopTableRow]:
+        return self._rows()
+
     def top(self, n: int = 10) -> list[TopTableRow]:
-        return self.rows[:n]
+        return self._rows(n)
 
     def significant(self, fdr: float = 0.05) -> list[TopTableRow]:
-        return [r for r in self.rows if r.adj_p_value <= fdr]
+        # BH-adjusted p never decreases down a p-sorted table, so the
+        # significant rows are a prefix
+        return self._rows(int(np.count_nonzero(self.adj_p_value <= fdr)))
 
     def as_tsv(self, n: int | None = None) -> str:
-        rows = self.rows if n is None else self.rows[:n]
+        rows = self._rows(n)
         return "\n".join([TOP_TABLE_HEADER] + [r.as_tsv() for r in rows]) + "\n"
+
+
+def _top_table(names, log_fc, ave, t, p, d0, s02) -> ModeratedTResult:
+    """Sort the per-probe statistics by p-value (stable; NaN last)."""
+    if names is None:
+        names = [f"row_{i}" for i in range(p.size)]
+    adj = benjamini_hochberg(p)
+    order = np.argsort(p, kind="stable")
+    return ModeratedTResult(
+        names=names, order=order, log_fc=log_fc[order], mean_expr=ave[order],
+        t_stat=t[order], p_value=p[order], adj_p_value=adj[order], d0=d0, s0_sq=s02,
+    )
 
 
 def moderated_t_test(
@@ -112,8 +167,6 @@ def moderated_t_test(
     n1 = int((~mask).sum())
     if n1 < 2 or n2 < 2:
         raise ValueError("need at least two samples in each group")
-    if names is None:
-        names = [f"row_{i}" for i in range(m.shape[0])]
     g1, g2 = m[:, ~mask], m[:, mask]
     mean1, mean2 = g1.mean(axis=1), g2.mean(axis=1)
     log_fc = mean2 - mean1
@@ -134,21 +187,7 @@ def moderated_t_test(
         p = 2.0 * stats.norm.sf(np.abs(t))
     else:
         p = 2.0 * stats.t.sf(np.abs(t), df_total)
-    adj = benjamini_hochberg(p)
-    ave = m.mean(axis=1)
-    rows = [
-        TopTableRow(
-            name=names[i],
-            log_fc=float(log_fc[i]),
-            mean_expr=float(ave[i]),
-            t_stat=float(t[i]),
-            p_value=float(p[i]),
-            adj_p_value=float(adj[i]),
-        )
-        for i in range(m.shape[0])
-    ]
-    rows.sort(key=lambda r: r.p_value)
-    return ModeratedTResult(rows=rows, d0=d0, s0_sq=s02)
+    return _top_table(names, log_fc, m.mean(axis=1), t, p, d0, s02)
 
 
 def student_t_test(
@@ -157,20 +196,10 @@ def student_t_test(
     """Plain (unmoderated) Welch t-test, for the matrixTTest tool."""
     m = np.asarray(values, dtype=float)
     mask = np.asarray(group_mask, dtype=bool)
-    if names is None:
-        names = [f"row_{i}" for i in range(m.shape[0])]
     g1, g2 = m[:, ~mask], m[:, mask]
     t, p = stats.ttest_ind(g2, g1, axis=1, equal_var=False)
-    adj = benjamini_hochberg(p)
     log_fc = g2.mean(axis=1) - g1.mean(axis=1)
-    ave = m.mean(axis=1)
-    rows = [
-        TopTableRow(names[i], float(log_fc[i]), float(ave[i]), float(t[i]),
-                    float(p[i]), float(adj[i]))
-        for i in range(m.shape[0])
-    ]
-    rows.sort(key=lambda r: r.p_value)
-    return ModeratedTResult(rows=rows, d0=0.0, s0_sq=0.0)
+    return _top_table(names, log_fc, m.mean(axis=1), t, p, 0.0, 0.0)
 
 
 def one_way_anova(
@@ -178,7 +207,7 @@ def one_way_anova(
 ) -> list[tuple[str, float, float, float]]:
     """Per-row one-way ANOVA across >= 2 groups.
 
-    Returns rows of (name, F, p, adj_p) sorted by p.
+    Returns rows of (name, F, p, adj_p) sorted by p, NaN p last.
     """
     m = np.asarray(values, dtype=float)
     labels = list(dict.fromkeys(groups))
@@ -192,22 +221,23 @@ def one_way_anova(
     adj = benjamini_hochberg(p)
     if names is None:
         names = [f"row_{i}" for i in range(m.shape[0])]
-    rows = [
-        (names[i], float(f[i]), float(p[i]), float(adj[i])) for i in range(m.shape[0])
+    order = np.argsort(p, kind="stable")
+    return [
+        (names[i], fi, pi, ai)
+        for i, fi, pi, ai in zip(
+            order.tolist(), f[order].tolist(), p[order].tolist(), adj[order].tolist()
+        )
     ]
-    rows.sort(key=lambda r: r[2])
-    return rows
 
 
 def fold_change(
     values: np.ndarray, group_mask: np.ndarray, names: list[str] | None = None
 ) -> list[tuple[str, float]]:
-    """Per-row log2 fold change (group2 - group1), sorted by |FC| desc."""
+    """Per-row log2 fold change (group2 - group1), sorted by |FC| desc, NaN last."""
     m = np.asarray(values, dtype=float)
     mask = np.asarray(group_mask, dtype=bool)
     fc = m[:, mask].mean(axis=1) - m[:, ~mask].mean(axis=1)
     if names is None:
         names = [f"row_{i}" for i in range(m.shape[0])]
-    rows = [(names[i], float(fc[i])) for i in range(m.shape[0])]
-    rows.sort(key=lambda r: -abs(r[1]))
-    return rows
+    order = np.argsort(-np.abs(fc), kind="stable")
+    return [(names[i], v) for i, v in zip(order.tolist(), fc[order].tolist())]

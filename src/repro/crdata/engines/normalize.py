@@ -28,18 +28,31 @@ def quantile_normalize(matrix: np.ndarray) -> np.ndarray:
 
     Classic Bolstad quantile normalization: sort each column, average
     across columns rank-wise, then map values back through each column's
-    rank order.  Ties inherit the value of their rank position.
+    rank order.  Ties inherit the value of their rank position, in the
+    order a stable sort gives them.
+
+    A column whose sorted values strictly increase has exactly one
+    sorting permutation, so the fast default argsort equals the stable
+    one there; only columns with ties (or NaNs) pay for the stable sort.
+    The result is C-ordered: later row reductions (``mean(axis=1)``)
+    sum in a layout-dependent order.
     """
-    m = np.asarray(matrix, dtype=float)
+    m = np.ascontiguousarray(matrix, dtype=float)
     if m.ndim != 2:
         raise ValueError("matrix must be 2-D")
-    order = np.argsort(m, axis=0, kind="stable")
-    ranks = np.empty_like(order)
-    rows = np.arange(m.shape[0])[:, None]
-    np.put_along_axis(ranks, order, rows, axis=0)
-    sorted_vals = np.take_along_axis(m, order, axis=0)
+    sorted_vals = np.sort(m, axis=0)
+    cols = m.T.copy()  # one contiguous row per array
+    order = np.argsort(cols, axis=1)
+    tied = ~(sorted_vals[1:] > sorted_vals[:-1]).all(axis=0)
+    if tied.any():
+        stable = np.argsort(cols[tied], axis=1, kind="stable")
+        order[tied] = stable
+        sorted_vals[:, tied] = np.take_along_axis(cols[tied], stable, axis=1).T
     mean_dist = sorted_vals.mean(axis=1)
-    return mean_dist[ranks]
+    del sorted_vals, cols  # the scatter below is the RMA step's memory peak
+    out = np.empty_like(m)
+    out.T[np.arange(m.shape[1])[:, None], order] = mean_dist
+    return out
 
 
 def log2_transform(matrix: np.ndarray) -> np.ndarray:

@@ -219,3 +219,26 @@ def test_bad_parameter_value_rejected(app, history):
               params={"keep_fraction": 2.0})
     assert job.state == JobState.ERROR
     assert "keep_fraction" in job.stderr
+
+
+@pytest.mark.filterwarnings("ignore:Precision loss:RuntimeWarning")
+def test_matrix_ttest_with_a_constant_probe(app, history):
+    """One constant probe gets NaN statistics, listed last; it no longer
+    turns every adjusted p into NaN or unsorts the table."""
+    values = np.array([
+        [1.0, 2.0, 3.0, 4.0, 5.0, 6.0],
+        [5.0, 5.0, 5.0, 5.0, 5.0, 5.0],
+        [1.0, 1.1, 1.2, 3.0, 3.1, 3.2],
+        [1.0, 1.5, 0.9, 1.1, 1.3, 1.0],
+    ])
+    em = ExpressionMatrix(
+        values, ["g0", "g1", "g2", "g3"], [f"s{i}" for i in range(6)], list("AAABBB")
+    )
+    ds = app.upload_data(history, "const.tsv", data=em.to_bytes(), ext="tabular")
+    job = run(app, history, "crdata_matrixTTest", ds)
+    assert job.state == JobState.OK, job.stderr
+    table = app.fs.read(job.outputs["top_table"].file_path).decode()
+    rows = [ln.split("\t") for ln in table.strip().splitlines()[1:]]
+    assert [r[0] for r in rows] == ["g2", "g0", "g3", "g1"]
+    assert rows[-1][4:] == ["nan", "nan"]
+    assert all(r[5] != "nan" for r in rows[:-1])

@@ -163,6 +163,79 @@ def test_fold_change_ordering():
     assert rows[0][1] == pytest.approx(5.0)
 
 
+# -- NaN statistics: R's p.adjust semantics, NaN sorts last ---------------------------
+
+# g1 is constant in both groups, so its Welch t and p are NaN
+NAN_DESIGN = np.array([
+    [1.0, 2.0, 3.0, 4.0, 5.0, 6.0],
+    [5.0, 5.0, 5.0, 5.0, 5.0, 5.0],
+    [1.0, 1.1, 1.2, 3.0, 3.1, 3.2],
+    [1.0, 1.5, 0.9, 1.1, 1.3, 1.0],
+])
+NAN_MASK = np.array([False, False, False, True, True, True])
+
+
+def test_bh_leaves_nan_alone_and_counts_only_real_p_values():
+    adj = diffexpr.benjamini_hochberg([0.01, np.nan, 0.02])
+    assert np.isnan(adj[1])
+    assert adj[[0, 2]].tolist() == diffexpr.benjamini_hochberg([0.01, 0.02]).tolist()
+    assert adj[[0, 2]].tolist() == [0.02, 0.02]
+    assert np.isnan(diffexpr.benjamini_hochberg([np.nan, np.nan])).all()
+    assert diffexpr.benjamini_hochberg([]).size == 0
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.one_of(st.floats(0.0, 1.0), st.just(float("nan"))), max_size=30))
+def test_property_bh_with_nan_equals_bh_of_the_rest(ps):
+    p = np.array(ps, dtype=float)
+    ok = ~np.isnan(p)
+    adj = diffexpr.benjamini_hochberg(p)
+    assert np.array_equal(np.isnan(adj), ~ok)
+    assert adj[ok].tolist() == diffexpr.benjamini_hochberg(p[ok]).tolist()
+
+
+@pytest.mark.filterwarnings("ignore:Precision loss:RuntimeWarning")
+def test_welch_top_table_sorts_nan_p_last():
+    with np.errstate(all="ignore"):
+        res = diffexpr.student_t_test(NAN_DESIGN, NAN_MASK, ["g0", "g1", "g2", "g3"])
+    assert [r.name for r in res.rows] == ["g2", "g0", "g3", "g1"]
+    p = [r.p_value for r in res.rows]
+    assert p[:3] == sorted(p[:3]) and np.isnan(p[3])
+    assert not np.isnan([r.adj_p_value for r in res.rows[:3]]).any()
+    assert res.as_tsv().splitlines()[-1].endswith("\tnan\tnan")
+    assert [r.name for r in res.significant(0.05)] == ["g2", "g0"]
+
+
+def test_moderated_top_table_sorts_nan_p_last():
+    """A probe with a missing value gets NaN statistics of its own; it
+    neither poisons the variance prior nor the other probes' order."""
+    m = NAN_DESIGN.copy()
+    m[3, 0] = np.nan
+    with np.errstate(all="ignore"):
+        res = diffexpr.moderated_t_test(m, NAN_MASK)
+    clean = diffexpr.moderated_t_test(NAN_DESIGN[:3], NAN_MASK)
+    assert (res.d0, res.s0_sq) == (clean.d0, clean.s0_sq)
+    assert res.rows[-1].name == "row_3" and np.isnan(res.rows[-1].p_value)
+    assert [r.name for r in res.rows[:-1]] == [r.name for r in clean.rows]
+    p = [r.p_value for r in res.rows[:-1]]
+    assert p == sorted(p) and not np.isnan(p).any()
+
+
+def test_anova_sorts_nan_p_last():
+    with np.errstate(all="ignore"):
+        rows = diffexpr.one_way_anova(NAN_DESIGN, ["a"] * 3 + ["b"] * 3)
+    assert rows[-1][0] == "row_1" and np.isnan(rows[-1][2])
+    assert [r[2] for r in rows[:-1]] == sorted(r[2] for r in rows[:-1])
+
+
+def test_fold_change_sorts_nan_last():
+    m = NAN_DESIGN.copy()
+    m[0, 0] = np.nan
+    rows = diffexpr.fold_change(m, NAN_MASK)
+    assert [r[0] for r in rows[:3]] == ["row_2", "row_3", "row_1"]
+    assert rows[3][0] == "row_0" and np.isnan(rows[3][1])
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.lists(st.floats(min_value=1e-6, max_value=1.0), min_size=2, max_size=40))
 def test_property_bh_idempotent_bounds(ps):

@@ -90,6 +90,13 @@ def test_bench_job_runs_smoke_harness_and_determinism(workflow):
     assert any("test_determinism" in c for c in commands)
 
 
+def test_bench_job_runs_the_benchmark_own_tests(workflow):
+    """perfbench/tests sits outside ``testpaths``, so tier-1 skips it;
+    bench-smoke must run it."""
+    commands = [s.get("run", "") for s in _steps(workflow, "bench-smoke")]
+    assert any("python -m pytest perfbench/tests" in c for c in commands)
+
+
 def test_no_step_selects_a_kernel_mode(workflow):
     """The kernel has one event path; no CI step may pass a mode flag."""
     commands = [
