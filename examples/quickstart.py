@@ -14,11 +14,19 @@ Run:  python examples/quickstart.py
 """
 
 from repro.core import CVRG_DATA_ENDPOINT, FOUR_CEL_PATH, CloudTestbed, usecase_topology
+from repro.obs import capture
 from repro.provision import GlobusProvision
+from repro.reporting import render_timeline
 from repro.tools_globus import GET_DATA_TOOL_ID
 
 
 def main() -> None:
+    with capture() as cap:  # record spans: the timeline is drawn from them
+        run_scenario()
+    print("\n" + render_timeline(cap))
+
+
+def run_scenario() -> None:
     bed = CloudTestbed(seed=0)
     gp = GlobusProvision(bed)
 
@@ -68,10 +76,6 @@ def main() -> None:
         gp.terminate(gpi.id)
         print(f"\nTerminated {gpi.id}.  "
               f"Total simulated cost: ${bed.total_cost():.4f}")
-
-        from repro.reporting import render_timeline
-
-        print("\n" + render_timeline(bed.ctx.trace))
 
     bed.ctx.sim.run(until=bed.ctx.sim.process(scenario()))
 

@@ -167,10 +167,6 @@ class Deployer:
         yield self.ctx.sim.all_of(procs)
         self._wire(deployment)
         deployment.deploy_seconds = self.ctx.now - start
-        self.ctx.log(
-            "gp", "deployed",
-            nodes=len(deployment.nodes), seconds=deployment.deploy_seconds,
-        )
         return deployment
 
     #: launch retries on transient EC2 capacity errors
@@ -391,9 +387,6 @@ class Deployer:
         report.removed = list(diff.removed_nodes)
         report.retyped = list(diff.type_changes)
         report.seconds = self.ctx.now - start
-        self.ctx.log("gp", "updated", seconds=report.seconds,
-                     added=report.added, removed=report.removed,
-                     retyped=report.retyped)
         return report
 
     def _runtime_for(self, deployment: Deployment, domain: str) -> DomainRuntime:

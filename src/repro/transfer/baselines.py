@@ -71,9 +71,6 @@ class _BaselineUploader:
             checksum=node.checksum,
         )
         elapsed = self.ctx.now - start
-        self.ctx.log(
-            "upload", model.name, path=dst_path, bytes=node.size, seconds=elapsed
-        )
         return UploadResult(
             protocol=model.name,
             bytes=node.size,

@@ -132,7 +132,6 @@ class WaasService:
         self.ctx.sim.schedule_cohort(
             times, self._arrival_apply, payload=requests, layer="waas.arrival"
         )
-        self.ctx.log("waas", "open", requests=len(requests), t0=t0)
         return t0
 
     # -- arrivals ----------------------------------------------------------
@@ -245,10 +244,6 @@ class WaasService:
             obs.finish_open(self._track(req), status="ok" if met else "error",
                             error=None if met else "deadline-missed")
             self._wf_span_ids.pop(req.id, None)
-        self.ctx.log(
-            "waas", "workflow-done", workflow=req.id,
-            tenant=req.tenant.name, sla=met,
-        )
         self.admission.complete(req)
         if obs.enabled:
             obs.series("waas.in_flight").record(self.admission.in_flight)

@@ -124,6 +124,46 @@ def test_evict_removal_rematches_job():
     assert j.end_time == pytest.approx(110.0, abs=21.0)
 
 
+def _membership(ctx):
+    """(time, name, attrs) of the pool-membership instants recorded so far."""
+    return [
+        (i["time"], i["name"], i["attrs"])
+        for i in ctx.obs.instants
+        if i["name"] in ("condor.startd-join", "condor.startd-leave")
+    ]
+
+
+def test_membership_changes_are_obs_instants():
+    ctx = SimContext(seed=3, obs=True)
+    pool = CondorPool(ctx, negotiation_interval_s=20.0)
+    pool.add_machine(MachineAd(name="w1", cores=2, memory_gb=1.7, cpu_factor=1.0))
+    pool.add_machine(MachineAd(name="w2", cores=1, memory_gb=1.7, cpu_factor=1.0))
+    assert _membership(ctx) == [
+        (0.0, "condor.startd-join", {"machine": "w1", "cores": 2}),
+        (0.0, "condor.startd-join", {"machine": "w2", "cores": 1}),
+    ]
+    j = pool.submit(cpu_work=100.0, rank=lambda m: 1.0 if m.name == "w1" else 0.0)
+    ctx.sim.run(until=10.0)
+    assert j.state == JobState.RUNNING
+    removal = pool.remove_machine("w1", drain=True)
+    ctx.sim.run(until=50.0)
+    assert len(_membership(ctx)) == 2  # still draining: no leave yet
+    ctx.sim.run(until=removal)
+    pool.remove_machine("w2", drain=False)
+    assert _membership(ctx)[2:] == [
+        (ctx.now, "condor.startd-leave", {"machine": "w1"}),
+        (ctx.now, "condor.startd-leave", {"machine": "w2", "evicted": True}),
+    ]
+    assert ctx.now == pytest.approx(100.0, abs=1.0)
+
+
+def test_membership_instants_cost_nothing_with_obs_off():
+    ctx, pool = make_pool([("w1", 1, 1.7, 1.0)])
+    pool.remove_machine("w1", drain=False)
+    assert not ctx.obs.enabled
+    assert ctx.obs.instants == [] and ctx.obs.spans == []
+
+
 def test_remove_unknown_machine_and_duplicate_add():
     ctx, pool = make_pool([("w1", 1, 1.7, 1.0)])
     with pytest.raises(CondorError):

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from repro.simcore import (
     EmptySchedule,
     Interrupt,
-    SimContext,
     SimEvent,
     SimulationError,
     Simulator,
@@ -331,16 +330,6 @@ def test_nested_processes_compose():
 
     assert sim.run(until=sim.process(parent())) == 14.0
     assert sim.now == 7.0
-
-
-def test_context_log_records_time_and_detail():
-    ctx = SimContext(seed=1)
-    ctx.sim.call_in(2.5, lambda: ctx.log("unit", "tick", n=1))
-    ctx.sim.run()
-    recs = ctx.trace.filter(kind="tick")
-    assert len(recs) == 1
-    assert recs[0].time == 2.5
-    assert recs[0].detail == {"n": 1}
 
 
 @given(st.lists(st.floats(min_value=0.0, max_value=1e6), min_size=1, max_size=50))

@@ -269,6 +269,24 @@ def test_bench_job_gates_trajectory_against_committed_baseline(workflow):
     )
 
 
+def test_bench_job_runs_waas_10k_point(workflow):
+    """The 10k-tenant WaaS point runs in CI (``check_shape`` fails the step
+    if a task is lost) and records into a scratch trajectory that is
+    uploaded, never into the committed ``BENCH_trajectory.json``."""
+    commands = [s.get("run", "") for s in _steps(workflow, "bench-smoke")]
+    waas = [c for c in commands if "benchmarks/bench_waas_scaling.py" in c]
+    assert waas, "bench-smoke must run the 10k-tenant WaaS point"
+    step = waas[0]
+    assert "--tenants 10000" in step
+    assert "--trajectory waas-10k-trajectory.json" in step
+    assert "BENCH_trajectory.json" not in step
+    uploads = [
+        s for s in _steps(workflow, "bench-smoke")
+        if "upload-artifact" in s.get("uses", "")
+    ]
+    assert "waas-10k-trajectory.json" in uploads[0]["with"]["path"]
+
+
 def test_trajectory_baseline_is_committed():
     baseline = (
         pathlib.Path(__file__).parent.parent
