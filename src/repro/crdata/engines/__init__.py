@@ -1,13 +1,7 @@
-"""Statistical engines backing the 35 CRData tools."""
+"""Statistical engines backing the 35 CRData tools.
 
-from . import classify, clustering, diffexpr, normalize, qc, rnaseq, survival
-
-__all__ = [
-    "classify",
-    "clustering",
-    "diffexpr",
-    "normalize",
-    "qc",
-    "rnaseq",
-    "survival",
-]
+The package imports none of its submodules: each CRData tool imports
+its engine when it first runs, so deploying the catalog loads no
+numerics (``clustering``, ``diffexpr``, ``qc``, ``rnaseq`` and
+``survival`` need SciPy).
+"""

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -152,12 +152,16 @@ class CelArchive:
 
 @dataclass
 class ExpressionMatrix:
-    """A probes × samples matrix with group annotations."""
+    """A probes × samples matrix with group annotations.
+
+    A matrix decoded from a CEL archive shares its read-only ``values``
+    and tuple annotations with every other decode of the same payload.
+    """
 
     values: np.ndarray          # shape (n_probes, n_samples), log2 scale
-    probe_names: list[str]
-    sample_names: list[str]
-    groups: list[str]
+    probe_names: Sequence[str]
+    sample_names: Sequence[str]
+    groups: Sequence[str]
 
     def __post_init__(self) -> None:
         p, s = self.values.shape

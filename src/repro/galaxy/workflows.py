@@ -11,9 +11,8 @@ so independent branches run in parallel on the Condor pool.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from graphlib import CycleError, TopologicalSorter
 from typing import Optional
-
-import networkx as nx
 
 from ..simcore import SimContext, SimEvent
 from .datasets import Dataset, History
@@ -92,21 +91,19 @@ class Workflow:
         return step
 
     # -- validation -------------------------------------------------------------
-    def graph(self) -> nx.DiGraph:
-        g = nx.DiGraph()
-        for step in self.steps.values():
-            g.add_node(step.id)
-        for step in self.steps.values():
-            for conn in step.connections.values():
-                g.add_edge(conn.source_step, step.id)
-        return g
-
     def validate(self, toolbox: Toolbox) -> None:
         """Raise :class:`WorkflowError` for structural problems."""
-        g = self.graph()
-        if not nx.is_directed_acyclic_graph(g):
-            cycle = nx.find_cycle(g)
-            raise WorkflowError(f"workflow has a cycle: {cycle}")
+        sorter = TopologicalSorter(
+            {
+                step.id: [c.source_step for c in step.connections.values()]
+                for step in self.steps.values()
+            }
+        )
+        try:
+            sorter.prepare()
+        except CycleError as exc:
+            # args[1] lists the step ids around the cycle, first == last
+            raise WorkflowError(f"workflow has a cycle: {exc.args[1]}") from None
         for step in self.steps.values():
             if step.type == "data_input":
                 if step.connections:

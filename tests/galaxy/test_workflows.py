@@ -29,6 +29,33 @@ def test_validate_rejects_cycle(app):
         wf.validate(app.toolbox)
 
 
+def test_validate_names_a_three_step_cycle_from_an_export(app):
+    """A cycle imported from a ``.ga``-style export is rejected, and the
+    error lists the steps around it (first step repeated last)."""
+    def step(sid, upstream):
+        return {
+            "id": sid, "type": "tool", "tool_id": "upper1",
+            "connections": {"input": {"step": upstream, "output": "output"}},
+        }
+
+    wf = Workflow.from_dict({
+        "format": "galaxy-workflow-v1",
+        "name": "triangle",
+        "steps": [
+            {"id": 1, "type": "data_input"},
+            step(2, 4), step(3, 2), step(4, 3),
+        ],
+    })
+    with pytest.raises(WorkflowError, match="cycle") as info:
+        wf.validate(app.toolbox)
+    listed = [int(x) for x in str(info.value).split("[", 1)[1].rstrip("]").split(",")]
+    assert listed[0] == listed[-1]
+    assert sorted(listed[:-1]) == [2, 3, 4]
+    # each listed step feeds the next one round the cycle
+    for a, b in zip(listed, listed[1:]):
+        assert wf.steps[b].connections["input"].source_step == a
+
+
 def test_validate_rejects_unconnected_data_input(app):
     wf = Workflow(name="dangling")
     wf.add_step("upper1")

@@ -82,6 +82,19 @@ def test_tests_job_runs_tier1(workflow):
     assert any("python -m pytest -x -q" in c for c in commands)
 
 
+def test_tests_job_checks_import_layering(workflow):
+    """A fresh interpreter imports the three CLI entry modules and the
+    step fails if that loaded SciPy or networkx."""
+    commands = [s.get("run", "") for s in _steps(workflow, "tests")]
+    layering = [c for c in commands if "sys.modules" in c]
+    assert layering, "the tests job must check the CLI import layering"
+    step = layering[0]
+    for module in ("repro.provision.cli", "repro.bench.cli", "repro.provenance.cli"):
+        assert module in step, f"the layering step must import {module}"
+    assert "'scipy'" in step and "'networkx'" in step
+    assert "sys.exit" in step
+
+
 def test_bench_job_runs_smoke_harness_and_determinism(workflow):
     commands = [s.get("run", "") for s in _steps(workflow, "bench-smoke")]
     smoke = [c for c in commands if "python -m repro.bench" in c and "--smoke" in c]
