@@ -215,7 +215,6 @@ class MockEC2:
             )
         itype = resolve(instance_type)
         out = []
-        boot_times = []
         now = self.ctx.now
         for _ in range(count):
             self._counter += 1
@@ -241,26 +240,11 @@ class MockEC2:
                 self._boot_span_ids[iid] = span.id
                 obs.counter("ec2.launches").inc()
             # jitter draws stay in creation order (one RNG draw per instance)
-            boot_times.append(now + self._boot_delay(itype))
+            self.ctx.sim.call_at(
+                now + self._boot_delay(itype), self._enter_running, inst
+            )
             out.append(inst)
-        # One boot cohort per API call.  With obs on, the cohort carries
-        # each member's boot span id so the causal edge survives the
-        # cohort's RUNNING transitions.
-        self.ctx.sim.schedule_cohort(
-            boot_times,
-            self._boot_apply,
-            payload=list(out),
-            layer="ec2.boot",
-            cause=tuple(self._boot_span_ids.get(i.id) for i in out)
-            if self.ctx.obs.enabled
-            else None,
-        )
         return out
-
-    def _boot_apply(self, cohort, start: int, stop: int) -> None:
-        payload = cohort.payload
-        for k in range(start, stop):
-            self._enter_running(payload[k])
 
     def _boot_delay(self, itype: InstanceType, fraction: float = 1.0) -> float:
         base = itype.boot_latency_s * fraction
@@ -315,12 +299,12 @@ class MockEC2:
                 raise EC2Error(f"cannot stop {iid} in state {inst.state.value}")
             inst.state = InstanceState.STOPPING
             self.meter.stop(iid, self.ctx.now)
+            self.ctx.sim.call_in(STOP_LATENCY_S, self._stopped, inst)
 
-            def _finish(i=inst):
-                if i.state == InstanceState.STOPPING:
-                    i.state = InstanceState.STOPPED
-
-            self.ctx.sim.call_in(STOP_LATENCY_S, _finish)
+    @staticmethod
+    def _stopped(inst: EC2Instance) -> None:
+        if inst.state == InstanceState.STOPPING:
+            inst.state = InstanceState.STOPPED
 
     def start_instances(self, ids: Iterable[str]) -> None:
         for iid in ids:
@@ -344,7 +328,7 @@ class MockEC2:
                 self._boot_spans[iid] = span
                 self._boot_span_ids[iid] = span.id
             delay = self._boot_delay(inst.itype, fraction=RESTART_FRACTION_OF_BOOT)
-            self.ctx.sim.call_in(delay, lambda i=inst: self._enter_running(i))
+            self.ctx.sim.call_in(delay, self._enter_running, inst)
 
     def terminate_instances(self, ids: Iterable[str]) -> None:
         for iid in ids:
@@ -363,11 +347,13 @@ class MockEC2:
             if ev is not None and not ev.triggered:
                 ev.fail(EC2Error(f"{iid} terminated before running"))
                 ev.defused = True
+            self.ctx.sim.call_in(
+                0.0 if was_pending else TERMINATE_LATENCY_S, self._terminated, inst
+            )
 
-            def _finish(i=inst):
-                i.state = InstanceState.TERMINATED
-
-            self.ctx.sim.call_in(0.0 if was_pending else TERMINATE_LATENCY_S, _finish)
+    @staticmethod
+    def _terminated(inst: EC2Instance) -> None:
+        inst.state = InstanceState.TERMINATED
 
     # -- queries -------------------------------------------------------------
     def describe_instances(

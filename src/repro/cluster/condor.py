@@ -83,7 +83,7 @@ class CondorJob:
     # obs causal carriers: ids of the job's current condor.wait /
     # condor.run spans, so each phase span can cite its predecessor
     # (wait <- submitter's span, run <- wait, requeued wait <- run) even
-    # though matching and completion happen in batched cohorts.  None
+    # though matching happens in batched negotiation cycles.  None
     # whenever observability is disabled.
     wait_span_id: Optional[int] = None
     run_span_id: Optional[int] = None
@@ -107,11 +107,10 @@ class Startd:
     """Machine daemon executing claimed jobs, one per slot.
 
     Completions are *not* per-job processes: the negotiation cycle that
-    claimed a batch of jobs registers their finish times as one event
-    cohort, and :meth:`_finish_job` runs as that cohort's apply.  Each
-    claim draws a sequence token; eviction / ``condor_rm`` bumps the
-    slot's token so a stale completion timer no-ops instead of being
-    interrupted.
+    claims a job schedules :meth:`_finish_job` as one plain timer at its
+    finish time.  Each claim draws a sequence token; eviction /
+    ``condor_rm`` bumps the slot's token so a stale completion timer
+    no-ops instead of being interrupted.
     """
 
     def __init__(self, ctx: SimContext, machine: MachineAd) -> None:
@@ -135,7 +134,7 @@ class Startd:
         """Assign ``job`` to a free slot; returns (slot, token, finish time).
 
         The caller (the negotiation cycle) is responsible for scheduling
-        the completion — normally as one member of the cycle's cohort —
+        the completion timer (:meth:`_finish_job` at the finish time)
         and for removing the job from the schedd's idle queue
         (``_job_left_queue``) once its scan is over, which lets the scan
         iterate the queue without copying it.
@@ -176,7 +175,7 @@ class Startd:
     def _finish_job(
         self, slot: int, token: int, job: CondorJob, pool: "CondorPool"
     ) -> None:
-        """Completion-cohort apply for one claim (skips superseded claims)."""
+        """Completion timer for one claim (skips superseded claims)."""
         if self._claims.get(slot) != token:
             return  # evicted or condor_rm'd; the slot moved on
         del self.busy[slot]
@@ -199,7 +198,7 @@ class Startd:
         """Free a claimed slot before completion (evict or ``condor_rm``).
 
         Bumping the claim token is what cancels the pending completion:
-        its cohort member fires on schedule and no-ops on the mismatch.
+        its timer fires on schedule and no-ops on the mismatch.
         """
         del self.busy[slot]
         self._claims.pop(slot, None)
@@ -670,15 +669,18 @@ class CondorPool:
         )
 
     def _arm_tick(self, when: float) -> None:
-        # A one-member cohort; its apply re-arms the LAZY wake so the
+        # The tick wakes the negotiator through the LAZY wake, so the
         # cycle still runs after every ordinary event of its timestamp.
         self._tick_pending = True
-        self.ctx.sim.schedule_cohort((when,), self._tick_apply, layer="condor.tick")
+        self.ctx.sim.call_at(when, self._tick)
 
-    def _tick_apply(self, cohort, start: int, stop: int) -> None:
+    def _tick(self) -> None:
         # The single pending tick: kicks since it was armed moved the
         # due time later, so either retry now or re-arm for the due time.
         self._tick_pending = False
+        obs = self.ctx.obs
+        if obs.enabled:
+            obs.counter("condor.ticks").inc()
         due = self._tick_due
         if due is None or self._stopped:
             return
@@ -686,12 +688,6 @@ class CondorPool:
             self._wake_negotiator()
         else:
             self._arm_tick(due)
-
-    def _complete_apply(self, cohort, start: int, stop: int) -> None:
-        payload = cohort.payload
-        for k in range(start, stop):
-            startd, slot, token, job = payload[k]
-            startd._finish_job(slot, token, job, self)
 
     def _refresh_owner_index(self) -> None:
         """Re-push the index entries of owners whose key may have moved."""
@@ -766,8 +762,7 @@ class CondorPool:
             return  # every slot is claimed; nothing can match
         idle = self._match_order() if self.fair_share else self.schedd.iter_idle()
         matched = 0
-        finish_times: list[float] = []
-        claims: list[tuple[Startd, int, int, CondorJob]] = []
+        claims: list[tuple[Startd, int, int, CondorJob, float]] = []
         for job in idle:
             # the free-slot check tolerates entries staled by a drain;
             # one fused pass picks the best-ranked candidate (first wins
@@ -783,29 +778,19 @@ class CondorPool:
             if best is None:
                 continue
             slot, token, finish = best.claim(job, self)
-            finish_times.append(finish)
-            claims.append((best, slot, token, job))
+            claims.append((best, slot, token, job, finish))
             matched += 1
             if not self._free:
                 break  # the cycle consumed the last free slot: stop pulling
         if matched:
             # The scan iterated live queue views; now that it is over,
             # retire the claimed jobs from the idle queue in one pass.
+            # Each claim's completion timer is staged in match order.
             schedd = self.schedd
-            for _startd, _slot, _token, job in claims:
+            call_at = self.ctx.sim.call_at
+            for startd, slot, token, job, finish in claims:
                 schedd._job_left_queue(job)
-            # One struct-of-arrays cohort per cycle: every claim's
-            # completion timer in match order.  With obs on, the cohort
-            # carries each member's condor.run span id so the causal
-            # chain survives the batch dispatch (spans opened from the
-            # apply can cite cohort.cause[k]); obs off, it stays None.
-            self.ctx.sim.schedule_cohort(
-                finish_times,
-                self._complete_apply,
-                payload=claims,
-                layer="condor.complete",
-                cause=tuple(c[3].run_span_id for c in claims) if obs.enabled else None,
-            )
+                call_at(finish, startd._finish_job, slot, token, job, self)
         if obs.enabled:
             if matched:
                 obs.instant("condor.negotiate", track="condor", matched=matched)

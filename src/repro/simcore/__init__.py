@@ -14,7 +14,6 @@ Public API::
     ctx.sim.run(until=p)   # -> "done", ctx.now == 5.0
 """
 
-from .cohort import EventCohort
 from .context import SimContext
 from .errors import (
     EmptySchedule,
@@ -34,7 +33,6 @@ __all__ = [
     "AnyOf",
     "Container",
     "EmptySchedule",
-    "EventCohort",
     "Interrupt",
     "LAZY",
     "NORMAL",

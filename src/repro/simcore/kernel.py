@@ -23,11 +23,12 @@ ordering is bit-identical to a single heap.  The run loop is deliberately
 inlined (no per-event ``step()`` call) and drains all events of one
 timestamp before re-checking the stop conditions.
 
-This is the kernel's only event path, and every cohort member is one
-queue entry like any other timer.  A calendar-queue timer store and
-batching same-timestamp cohort members into one entry were measured no
-faster end to end on any benchmark workload (EXPERIMENTS.md, "Kernel
-mode collapse").
+This is the kernel's only event path, and :meth:`Simulator.call_at` is
+its one timer primitive: each timer is one queue entry that carries its
+callback's arguments.  A calendar-queue timer store, batching
+same-timestamp timers into one entry and a struct-of-arrays timer-batch
+type were measured no faster end to end on any benchmark workload
+(EXPERIMENTS.md, "Kernel mode collapse" and "One timer primitive").
 
 Per-simulator counters (:attr:`Simulator.events_processed`,
 :attr:`Simulator.peak_queue_depth`) feed the scale benchmarks.
@@ -42,7 +43,6 @@ from itertools import count
 from typing import Callable, Optional
 
 from ..obs.recorder import NULL_RECORDER
-from .cohort import EventCohort
 from .errors import EmptySchedule, SimulationError, StopSimulation
 from .events import LAZY, NORMAL, URGENT, AllOf, AnyOf, SimEvent, Timeout
 from .process import Process, ProcessGenerator
@@ -51,20 +51,21 @@ __all__ = ["Simulator", "URGENT", "NORMAL", "LAZY"]
 
 
 class _FnCallback:
-    """Adapter invoking a zero-argument function as an event callback.
+    """Adapter invoking ``fn(*args)`` as an event callback.
 
-    ``call_in`` runs on hot paths (EC2 state machines, retry timers); a
-    slotted adapter avoids allocating a fresh closure cell per call the
-    way ``lambda _ev: fn()`` would.
+    Timers run on hot paths (Condor completions, EC2 boots, GridFTP
+    slices); a slotted adapter carrying the arguments avoids allocating
+    a closure per timer the way ``lambda _ev: fn(*args)`` would.
     """
 
-    __slots__ = ("fn",)
+    __slots__ = ("fn", "args")
 
-    def __init__(self, fn: Callable[[], None]) -> None:
+    def __init__(self, fn: Callable[..., None], args: tuple) -> None:
         self.fn = fn
+        self.args = args
 
     def __call__(self, _event: SimEvent) -> None:
-        self.fn()
+        self.fn(*self.args)
 
 
 class Simulator:
@@ -158,42 +159,34 @@ class Simulator:
     def any_of(self, events) -> AnyOf:
         return AnyOf(self, events)
 
-    def call_at(self, when: float, fn: Callable[[], None]) -> SimEvent:
-        """Run ``fn()`` at absolute simulated time ``when``."""
+    def call_at(self, when: float, fn: Callable[..., None], *args) -> SimEvent:
+        """Run ``fn(*args)`` at absolute simulated time ``when``.
+
+        The entry is staged at ``when`` itself: ``now + (when - now)``
+        can round to a neighbouring float.  Timers due at the same time
+        fire in the order they were scheduled.
+        """
         if not (when >= self._now):  # also rejects NaN
             raise ValueError(f"cannot schedule in the past ({when} < {self._now})")
-        return self.call_in(when - self._now, fn)
-
-    def call_in(self, delay: float, fn: Callable[[], None]) -> SimEvent:
-        """Run ``fn()`` after ``delay`` simulated seconds."""
-        ev = Timeout(self, delay)
-        ev.callbacks.append(_FnCallback(fn))
+        ev = SimEvent(self)
+        ev._value = None
+        ev._ok = True
+        ev.callbacks.append(_FnCallback(fn, args))
+        # Inlined Simulator._schedule at an absolute time; a NORMAL
+        # priority packs to the bare insertion id.
+        self._pending.append((when, next(self._eid), ev))
         return ev
 
-    def schedule_cohort(
-        self,
-        times,
-        apply,
-        payload: object = None,
-        entity_ids: object = None,
-        layer: str = "cohort",
-        cause: object = None,
-    ) -> EventCohort:
-        """Register N homogeneous timers as one struct-of-arrays cohort.
-
-        ``times`` are absolute fire times (each >= now); the kernel
-        invokes ``apply(cohort, k, k + 1)`` once per member.  See
-        :class:`~repro.simcore.cohort.EventCohort` for the ordering and
-        accounting contract.  ``cause`` is opaque causal baggage for
-        observability (obs span id(s) readable by ``apply`` as
-        ``cohort.cause``); the kernel ignores it.  Returns the cohort;
-        its ``done`` event fires after the last member is applied.
-        """
-        return EventCohort(self, times, apply, payload, entity_ids, layer, cause)
+    def call_in(self, delay: float, fn: Callable[..., None], *args) -> SimEvent:
+        """Run ``fn(*args)`` after ``delay`` simulated seconds."""
+        ev = Timeout(self, delay)
+        ev.callbacks.append(_FnCallback(fn, args))
+        return ev
 
     # -- scheduling --------------------------------------------------------
-    # NOTE: the hot constructors (Timeout.__init__, SimEvent.succeed/fail)
-    # inline this push to save a call per event; keep them in sync.
+    # NOTE: the hot constructors (Timeout.__init__, call_at,
+    # SimEvent.succeed/fail) inline this push to save a call per event;
+    # keep them in sync.
     def _schedule(self, event: SimEvent, delay: float = 0.0, priority: int = NORMAL) -> None:
         if delay == 0.0 and priority == NORMAL:
             self._immediate.append((next(self._eid), event))

@@ -517,24 +517,23 @@ class GlobusOnline:
                 if deadline is None and self.fault_rate == 0.0 and wire > 0.0:
                     # Fault-free, deadline-free transfers (the paper's
                     # headline sweeps) skip the retry loop: the file's
-                    # wire time becomes one chunk cohort whose members
-                    # expose in-flight progress on the source server and
-                    # whose last member is pinned to exactly ``wire``
-                    # seconds out, so completion timing is bit-identical
-                    # to the single timeout it replaces.  The checksum
-                    # pass rides along as the cohort's tail member.
+                    # wire time becomes one progress timer per chunk on
+                    # the source server, the last pinned to exactly
+                    # ``wire`` seconds out, so completion timing is
+                    # bit-identical to the single timeout it replaces.
+                    # The checksum pass rides along as a tail timer.
                     attempt = 1
                     plan = coalesced_chunk_plan(size)
                     if plan:
                         tail = (
                             checksum_seconds(size) if spec.verify_checksum else 0.0
                         )
-                        yield src.chunk_cohort(
+                        yield src.chunk_timers(
                             plan,
                             size * 8.0 / wire,
                             last_at=self.ctx.now + wire,
                             tail=tail,
-                        ).done
+                        )
                         chunk_moved = True
                         checksummed = tail > 0.0
                     else:
@@ -588,7 +587,7 @@ class GlobusOnline:
                     self._fail(task, str(exc))
                     return
                 dst.store(dst_path, node, now=self.ctx.now)
-                if not chunk_moved:  # the chunk cohort already counted it
+                if not chunk_moved:  # the chunk timers already counted it
                     src.bytes_moved += size
                 task.files_transferred += 1
                 task.bytes_transferred += size

@@ -18,7 +18,7 @@ from .. import calibration
 from ..cloud.network import NetworkPath, aggregate_rate_bps, slow_start_ramp_s
 from ..cluster.nfs import FileNode, MountTable, SimFilesystem
 from ..security.x509 import Certificate
-from ..simcore import Resource, SimContext
+from ..simcore import Resource, SimContext, SimEvent
 
 Filesystem = Union[SimFilesystem, MountTable]
 
@@ -150,27 +150,28 @@ class GridFTPServer:
         ramp = slow_start_ramp_s(path, calibration.GO_WINDOW_BYTES)
         return ramp + size_bytes * 8.0 / rate
 
-    # -- chunk-progress cohort ----------------------------------------------------
-    def chunk_cohort(
+    # -- chunk-progress timers ----------------------------------------------------
+    def chunk_timers(
         self,
         plan: list[int],
         rate: float,
         last_at: float | None = None,
         tail: float = 0.0,
-    ):
-        """Register ``plan``'s slices as one cohort of progress timers.
+    ) -> SimEvent:
+        """Schedule one progress timer per slice of ``plan``.
 
         Fire times accumulate sequentially from now (matching what a
         timeout-per-slice loop would produce); ``last_at`` optionally
-        pins the final member to an exact absolute time so callers that
+        pins the final slice to an exact absolute time so callers that
         already computed a whole-file duration keep it bit-identical.
-        Each member adds its slice's bytes to :attr:`bytes_moved`; the
-        cohort's ``done`` event fires when the last slice lands.  A
-        positive ``tail`` appends one zero-byte member that many seconds
-        after the last slice (post-transfer work such as a checksum
-        pass), delaying ``done`` without a separate timer.
+        Each timer adds its slice's bytes to :attr:`bytes_moved`; the
+        last one triggers the returned event.  A positive ``tail``
+        appends one zero-byte timer that many seconds after the last
+        slice (post-transfer work such as a checksum pass), delaying the
+        event without a separate timeout.
         """
-        t = self.ctx.sim.now
+        sim = self.ctx.sim
+        t = sim.now
         times = []
         for slice_bytes in plan:
             t += slice_bytes * 8.0 / rate
@@ -180,16 +181,16 @@ class GridFTPServer:
         if tail > 0.0:
             plan = plan + [0]
             times.append(times[-1] + tail)
-        return self.ctx.sim.schedule_cohort(
-            times, self._chunk_apply, payload=plan, layer="gridftp.chunk"
-        )
+        done = sim.event()
+        last = len(times) - 1
+        for k, when in enumerate(times):
+            sim.call_at(when, self._chunk_landed, plan[k], done if k == last else None)
+        return done
 
-    def _chunk_apply(self, cohort, start: int, stop: int) -> None:
-        plan = cohort.payload
-        if stop - start == 1:
-            self.bytes_moved += plan[start]
-        else:
-            self.bytes_moved += sum(plan[start:stop])
+    def _chunk_landed(self, slice_bytes: int, done: Optional[SimEvent]) -> None:
+        self.bytes_moved += slice_bytes
+        if done is not None:
+            done.succeed()
 
     # -- direct third-party transfer (globus-url-copy equivalent) ----------------
     def transfer_file(
@@ -229,9 +230,8 @@ class GridFTPServer:
             # Move the file as coalesced block slices: progress (and
             # byte accounting) advances in-flight, but a transfer costs at
             # most MAX_CHUNK_EVENTS simulation events regardless of size.
-            # The slices are one cohort (struct-of-arrays record) instead
-            # of a timeout per slice; `_chunk_apply` advances the byte
-            # counter as members fire.
+            # Each slice is one plain timer; `_chunk_landed` advances the
+            # byte counter as they fire.
             rate = aggregate_rate_bps(network, streams, calibration.GO_WINDOW_BYTES)
             yield self.ctx.sim.timeout(
                 slow_start_ramp_s(network, calibration.GO_WINDOW_BYTES)
@@ -239,7 +239,7 @@ class GridFTPServer:
             plan = coalesced_chunk_plan(node.size)
             chunks = len(plan)
             if plan:
-                yield self.chunk_cohort(plan, rate).done
+                yield self.chunk_timers(plan, rate)
             dest.store(dst_path, node, now=self.ctx.now)
         except BaseException as exc:
             obs.finish(span, status="error", error=repr(exc))

@@ -10,9 +10,9 @@ as admission applies above it.
 
 Two scale-critical choices:
 
-* the entire arrival schedule registers as **one struct-of-arrays
-  cohort** (``layer="waas.arrival"``) — 100k arrivals cost one kernel
-  registration, not 100k timers;
+* the entire arrival schedule is registered up front, one plain
+  ``call_at`` timer per request carrying that request — no arrival
+  process sleeps between submissions;
 * DAG execution is **callback-driven**: task completions chain through
   Condor's ``on_complete`` into readiness updates, so a workflow in
   flight holds no resident simulation process.  The only processes in
@@ -123,38 +123,33 @@ class WaasService:
         """Register the full arrival schedule; returns the open instant.
 
         Arrival offsets become absolute times relative to *now* (call
-        this once the deployment is up) and enter the kernel as a single
-        cohort — the service's demand side costs O(1) registrations.
+        this once the deployment is up) and enter the kernel as one timer
+        per request, in plan order.
         """
         t0 = self.ctx.now
-        requests = self.plan.requests
-        times = [t0 + r.arrival_s for r in requests]
-        self.ctx.sim.schedule_cohort(
-            times, self._arrival_apply, payload=requests, layer="waas.arrival"
-        )
+        call_at = self.ctx.sim.call_at
+        for req in self.plan.requests:
+            call_at(t0 + req.arrival_s, self._arrive, req)
         return t0
 
     # -- arrivals ----------------------------------------------------------
-    def _arrival_apply(self, cohort, start: int, stop: int) -> None:
-        requests = cohort.payload
+    def _arrive(self, req: WorkflowRequest) -> None:
         now = self.ctx.now
+        req.arrived_s = now
+        req.deadline_s = now + req.allowance_s
+        self._live.add(req.id)
+        heappush(self._deadline_heap, (req.deadline_s, req.id))
         obs = self.ctx.obs
-        for k in range(start, stop):
-            req = requests[k]
-            req.arrived_s = now
-            req.deadline_s = now + req.allowance_s
-            self._live.add(req.id)
-            heappush(self._deadline_heap, (req.deadline_s, req.id))
-            if obs.enabled:
-                obs.counter("waas.arrivals").inc()
-                self._wf_span_ids[req.id] = obs.start(
-                    "waas.workflow",
-                    track=self._track(req),
-                    tenant=req.tenant.name,
-                    workflow=req.id,
-                    shape=req.dag.shape,
-                ).id
-            self.admission.offer(req)
+        if obs.enabled:
+            obs.counter("waas.arrivals").inc()
+            self._wf_span_ids[req.id] = obs.start(
+                "waas.workflow",
+                track=self._track(req),
+                tenant=req.tenant.name,
+                workflow=req.id,
+                shape=req.dag.shape,
+            ).id
+        self.admission.offer(req)
 
     @staticmethod
     def _track(req: WorkflowRequest) -> str:

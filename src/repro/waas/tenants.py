@@ -10,8 +10,8 @@ default) or an explicit trace.
 Arrivals are *open-loop*: the request list is fully determined by the
 config seed before the simulation starts, so the demand never reacts to
 how the service is doing — the property that makes policy runs
-comparable and lets the whole arrival schedule register as one
-struct-of-arrays cohort.  All randomness comes from a private
+comparable and lets the whole arrival schedule register up front as
+one timer per request.  All randomness comes from a private
 ``numpy`` generator derived from the seed; the simulation's own RNG
 streams are never touched, so adding WaaS load to a testbed cannot
 perturb any other seeded behaviour.
@@ -166,7 +166,7 @@ def poisson_plan(
     tenants = make_tenants(n_tenants, quota=tenant_quota)
     rng = np.random.default_rng(seed)
     # Rounded to ms so arrival timestamps survive JSON round-trips
-    # bit-exactly; ties are fine (the arrival cohort preserves order).
+    # bit-exactly; ties are fine (equal-time timers fire in plan order).
     times = np.round(
         np.cumsum(rng.exponential(1.0 / arrival_rate_per_s, size=workflows)), 3
     )
@@ -203,7 +203,7 @@ def trace_plan(
     Optional per-record keys override the catalog defaults: ``variant``
     picks a specific DAG from the shared catalog, ``allowance_s`` pins
     the deadline budget.  Records must be in non-decreasing ``t`` order
-    (the schedule registers as one cohort).
+    (the schedule registers up front, in plan order).
     """
     tenants = make_tenants(n_tenants, quota=tenant_quota)
     catalog = _dag_catalog(unique_dags, tuple(shapes), dag_tasks, mean_task_work_s, seed)

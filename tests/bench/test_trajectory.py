@@ -244,3 +244,27 @@ def test_committed_baseline_matches_the_schema():
     layers = doc["critpath"]["layers"]
     assert layers and all(v >= 0 for v in layers.values())
     assert doc["critpath"]["makespan_s"] > 0
+
+
+def test_module_entry_point_runs_once_in_a_fresh_interpreter():
+    """``python -m repro.bench.trajectory`` finds the module unimported
+    (the package does not import it eagerly), so runpy raises no
+    double-import RuntimeWarning and the gate exits 0 with warnings as
+    errors."""
+    import os
+    import pathlib
+    import subprocess
+    import sys
+
+    src = pathlib.Path(__file__).resolve().parents[2] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src)] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
+    )
+    out = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning",
+         "-m", "repro.bench.trajectory", "--help"],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert out.returncode == 0, out.stderr
+    assert "RuntimeWarning" not in out.stderr

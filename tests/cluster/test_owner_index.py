@@ -219,7 +219,7 @@ def test_kicks_do_not_multiply_pending_ticks():
     ctx.sim.run()
     assert all(j.state == JobState.COMPLETED for j in jobs)
     metrics = ctx.obs.metrics
-    ticks = metrics.counter("cohort.events.condor.tick").value
+    ticks = metrics.counter("condor.ticks").value
     # 200 cycles (one per completion) but one tick per elapsed interval,
     # plus at most one re-arm each
     assert ctx.obs.counter("condor.negotiation_cycles").value >= 200

@@ -4,8 +4,8 @@ Every cross-layer hand-off the critical-path walk relies on must be a
 recorded ``cause_id`` edge: EC2 boot releases the Chef converge on that
 instance, a Galaxy job's stage-in/condor-wait cite the job, a Condor
 run cites the wait that held it, a WaaS admission cites the arrival.
-The links ride on domain objects (span-id carriers) and on the opaque
-``EventCohort.cause`` slot, not ambient state.
+The links ride on domain objects (span-id carriers such as
+``CondorJob.run_span_id`` and EC2's boot span ids), not ambient state.
 """
 
 import json

@@ -72,6 +72,27 @@ def test_call_at_past_raises():
         sim.call_at(5.0, lambda: None)
 
 
+def test_call_at_fires_at_exactly_when():
+    """``now + (when - now)`` can round to a neighbouring float; the
+    timer fires at ``when`` itself."""
+    now, when = 64.04234015420901, 193.09362683039782
+    assert now + (when - now) != when  # this pair rounds
+    sim = Simulator(initial_time=now)
+    fired = []
+    sim.call_at(when, lambda: fired.append(sim.now))
+    sim.run()
+    assert fired == [when]
+
+
+def test_call_at_and_call_in_pass_arguments():
+    sim = Simulator()
+    seen = []
+    sim.call_at(2.0, seen.append, "at")
+    sim.call_in(1.0, lambda a, b: seen.append((a, b)), "in", 1)
+    sim.run()
+    assert seen == [("in", 1), "at"]
+
+
 def test_events_fire_in_time_order_with_fifo_ties():
     sim = Simulator()
     order = []
@@ -450,9 +471,8 @@ NAN = float("nan")
         lambda sim: sim.timeout(NAN),
         lambda sim: sim.call_in(NAN, lambda: None),
         lambda sim: sim.call_at(NAN, lambda: None),
-        lambda sim: sim.schedule_cohort([1.0, NAN], lambda c, i, j: None),
     ],
-    ids=["timeout", "call_in", "call_at", "schedule_cohort"],
+    ids=["timeout", "call_in", "call_at"],
 )
 def test_nan_time_rejected(schedule):
     """Every ordered comparison with NaN is False, so a ``< now`` guard

@@ -280,6 +280,30 @@ def test_bench_job_gates_trajectory_against_committed_baseline(workflow):
     assert "benchmarks/results/trajectory_baseline.json" in step, (
         "the gate must use the committed baseline"
     )
+    assert "-W error::RuntimeWarning" in step, (
+        "the gate must fail if running the module as __main__ imports it twice"
+    )
+
+
+def test_bench_job_gates_waas_10k_event_count(workflow):
+    """After the 10k-tenant WaaS run, a trajectory --check pins its exact
+    event count against the committed baseline."""
+    steps = _steps(workflow, "bench-smoke")
+    commands = [s.get("run", "") for s in steps]
+    run_ix = next(
+        i for i, c in enumerate(commands) if "benchmarks/bench_waas_scaling.py" in c
+    )
+    gates = [
+        i
+        for i, c in enumerate(commands)
+        if "repro.bench.trajectory" in c
+        and "--check" in c
+        and "--trajectory waas-10k-trajectory.json" in c
+        and "benchmarks/results/waas_10k_baseline.json" in c
+        and "-W error::RuntimeWarning" in c
+    ]
+    assert gates, "bench-smoke must gate the 10k WaaS point on its baseline"
+    assert gates[0] > run_ix, "the gate must run after the 10k WaaS point"
 
 
 def test_bench_job_runs_waas_10k_point(workflow):
@@ -298,6 +322,20 @@ def test_bench_job_runs_waas_10k_point(workflow):
         if "upload-artifact" in s.get("uses", "")
     ]
     assert "waas-10k-trajectory.json" in uploads[0]["with"]["path"]
+
+
+def test_waas_10k_baseline_is_committed():
+    import json
+
+    path = (
+        pathlib.Path(__file__).parent.parent
+        / "benchmarks"
+        / "results"
+        / "waas_10k_baseline.json"
+    )
+    doc = json.loads(path.read_text())
+    assert doc["suite"] == "waas-scale-10000"
+    assert isinstance(doc["events_processed"], int) and doc["events_processed"] > 0
 
 
 def test_trajectory_baseline_is_committed():

@@ -195,6 +195,24 @@ def test_gridftp_direct_third_party_transfer(bed):
     assert bed.laptop_server.bytes_moved >= 50 * MB
 
 
+def test_gridftp_chunk_timers_event_fires_with_the_last_slice(bed):
+    """Progress lands slice by slice; a process waiting on the returned
+    event resumes once the last timer (here the tail) has fired."""
+    sim = bed.ctx.sim
+    server = bed.laptop_server
+    got = []
+
+    def waiter():
+        yield server.chunk_timers([100, 100, 50], rate=800.0, tail=0.5)
+        got.append((sim.now, server.bytes_moved))
+
+    sim.process(waiter())
+    sim.run(until=2.2)
+    assert server.bytes_moved == 200 and got == []
+    sim.run()
+    assert got == [(3.0, 250)]
+
+
 def test_gridftp_stat_missing(bed):
     with pytest.raises(GridFTPError):
         bed.laptop_server.stat("/nope")
