@@ -1,12 +1,13 @@
-"""Cohort events: unit contracts plus differential fuzzing.
+"""Timer cohorts: ``call_at`` fan-outs, unit contracts plus differential fuzzing.
 
-The contract under test is the one ``repro.simcore.cohort`` documents:
-registering N timers as one cohort changes how the producer schedules
-them, never what the simulation computes.  The fuzz suite drives randomly
-interleaved cohorts and plain timers, and demands the same member
-application trace, ``events_processed`` and ``peak_queue_depth`` as the
-same program with every cohort member registered as a plain
-``sim.timeout`` in index order.
+``call_at(when, fn, *args)`` is the kernel's one timer primitive; a
+producer with a cohort of timers (Condor completions, GridFTP slices,
+EC2 boots, WaaS arrivals) schedules one entry per member in a loop.  The
+fuzz suite drives randomly interleaved fan-outs and plain timeouts, and
+demands the same callback trace, ``events_processed`` and
+``peak_queue_depth`` as the same program with every fan-out member
+registered as a plain ``sim.timeout`` in index order.  Collision-rich
+delays keep same-timestamp interleaving covered.
 """
 
 from __future__ import annotations
@@ -33,57 +34,38 @@ PROGRAM = st.lists(
 
 
 def _run_program(program, as_timers: bool = False, chained: bool = False):
-    """Execute a mixed cohort/timer program; return its observable state.
+    """Execute a mixed fan-out/timer program; return its observable state.
 
-    ``as_timers=True`` is the reference: each cohort becomes one
-    ``sim.timeout`` per member, registered in index order, plus a done
-    event succeeded after the last member — what the cohort does
-    internally, spelled out with the kernel's plain API.
+    A cohort schedules ``call_at(now + delay, member, idx, k)`` per
+    member.  ``as_timers=True`` is the reference: each member becomes
+    one ``sim.timeout(delay)`` with a callback, registered in index order.
 
-    ``chained=True`` makes every cohort member schedule a follow-up timer,
-    exercising depth accounting while members fan out new work.
+    ``chained=True`` makes every member schedule a follow-up timer a
+    quarter second later (the same primitive as the member itself),
+    exercising registration at a non-zero clock and depth accounting
+    while members fan out new work.
     """
     sim = Simulator()
     trace: list[tuple] = []
-    dones = []
+
+    def schedule(delay, fn, *args):
+        if as_timers:
+            sim.timeout(delay).callbacks.append(lambda _ev: fn(*args))
+        else:
+            sim.call_at(sim.now + delay, fn, *args)
+
+    def follow_up(idx, k):
+        trace.append((sim.now, "chained", idx, k))
+
+    def member(idx, k):
+        trace.append((sim.now, "member", idx, k))
+        if chained:
+            schedule(0.25, follow_up, idx, k)
+
     for idx, (kind, delays) in enumerate(program):
         if kind == "cohort":
-
-            def member(k, idx=idx):
-                trace.append((sim.now, "member", idx, k))
-                if chained:
-                    ev = sim.timeout(0.25)
-                    ev.callbacks.append(
-                        lambda e, idx=idx, k=k: trace.append(
-                            (sim.now, "chained", idx, k)
-                        )
-                    )
-
-            if as_timers:
-                done = sim.event()
-                remaining = [len(delays)]
-                if not delays:
-                    done.succeed()
-
-                def fire(_ev, k, done=done, remaining=remaining, member=member):
-                    member(k)
-                    remaining[0] -= 1
-                    if remaining[0] == 0:
-                        done.succeed()
-
-                for k, delay in enumerate(delays):
-                    sim.timeout(delay).callbacks.append(
-                        lambda ev, k=k, fire=fire: fire(ev, k)
-                    )
-                dones.append(done)
-            else:
-
-                def apply(cohort, start, stop, member=member):
-                    for k in range(start, stop):
-                        member(k)
-
-                cohort = sim.schedule_cohort(list(delays), apply, layer=f"l{idx % 3}")
-                dones.append(cohort.done)
+            for k, delay in enumerate(delays):
+                schedule(delay, member, idx, k)
         else:
             for j, delay in enumerate(delays):
                 ev = sim.timeout(delay)
@@ -91,7 +73,6 @@ def _run_program(program, as_timers: bool = False, chained: bool = False):
                     lambda e, idx=idx, j=j: trace.append((sim.now, "timer", idx, j))
                 )
     sim.run()
-    assert all(d.triggered for d in dones)
     return trace, sim.events_processed, sim.peak_queue_depth
 
 
@@ -106,7 +87,7 @@ def test_differential_fuzz_cohorts_match_plain_timers(program):
 @given(program=PROGRAM)
 @settings(max_examples=30, deadline=None)
 def test_differential_fuzz_with_scheduling_applies(program):
-    """Same equivalence when every member's apply schedules new work."""
+    """Same equivalence when every member schedules new work."""
     reference = _run_program(program, as_timers=True, chained=True)
     assert _run_program(program, chained=True) == reference
 
@@ -115,10 +96,9 @@ def test_differential_fuzz_with_scheduling_applies(program):
 # Unit contracts
 # ---------------------------------------------------------------------------
 
-#: the two forms producers hand fire times in, which take different
-#: registration branches: a sequence of Python scalars, one per timer
-#: (Condor ticks, GridFTP chunk plans) or a float64 cohort vector
-#: (``EventCohort`` itself calls ``tolist()`` on it before checking)
+#: the two forms producers compute fire times in: a sequence of Python
+#: scalars, one per timer (Condor ticks, GridFTP chunk plans), or a
+#: float64 NumPy vector whose elements reach ``call_at`` as ``np.float64``
 TIME_FORMS = {
     "scalar": list,
     "cohort": lambda times: np.asarray(times, dtype=np.float64),
@@ -130,80 +110,50 @@ def form(request):
     return TIME_FORMS[request.param]
 
 
+def _fan_out(sim, times, fn):
+    """One ``call_at(when, fn, k)`` per member; the entry events in order."""
+    return [sim.call_at(when, fn, k) for k, when in enumerate(times)]
+
+
 def test_members_apply_in_index_order(form):
     sim = Simulator()
     seen = []
-    cohort = sim.schedule_cohort(
-        form([1.0, 1.0, 1.0, 2.0]),
-        lambda c, i, j: seen.extend(range(i, j)),
-    )
+    _fan_out(sim, form([1.0, 1.0, 1.0, 2.0]), seen.append)
     sim.run()
     assert seen == [0, 1, 2, 3]
-    assert cohort.done.triggered
-    assert cohort.done.value is cohort
-    assert sim.events_processed == 5  # 4 members + the done event
-
-
-def test_empty_cohort_done_fires_without_running(form):
-    sim = Simulator()
-    cohort = sim.schedule_cohort(form([]), lambda c, i, j: pytest.fail("no members"))
-    assert cohort.done.triggered
-    assert cohort.size == 0
-    sim.run()
-    assert sim.events_processed == 1  # only the done event itself
+    assert sim.events_processed == 4  # one entry per member, nothing else
 
 
 def test_past_fire_time_rejected(form):
     sim = Simulator()
     sim.run(until=5.0)
     with pytest.raises(ValueError, match="in the past"):
-        sim.schedule_cohort(form([4.0]), lambda c, i, j: None)
-
-
-def test_rejected_registration_stages_no_members():
-    """A bad time anywhere rejects the whole cohort, leaving no orphans."""
-    sim = Simulator()
-    applied = []
-    with pytest.raises(ValueError, match="in the past"):
-        sim.schedule_cohort(
-            [5.0, 5.0, -1.0], lambda c, i, j: applied.extend(range(i, j))
-        )
-    sim.run()
-    assert applied == []
-    assert sim.events_processed == 0
-    assert sim.queue_depth == 0
+        _fan_out(sim, form([4.0]), lambda k: None)
 
 
 def test_registration_depth_counts_members_not_entries(form):
     sim = Simulator()
-    sim.schedule_cohort(form([1.0] * 8), lambda c, i, j: None)
+    _fan_out(sim, form([1.0] * 8), lambda k: None)
     assert sim.queue_depth == 8
     sim.run()
-    assert sim.events_processed == 9  # 8 members + the done event
-
-
-def test_times_property_normalizes_lazily():
-    sim = Simulator()
-    cohort = sim.schedule_cohort([1.0, 2.0], lambda c, i, j: None)
-    assert isinstance(cohort.times, np.ndarray)
-    assert cohort.times.dtype == np.float64
-    assert cohort.times.tolist() == [1.0, 2.0]
-    sim.run()
+    assert sim.events_processed == 8
+    assert sim.peak_queue_depth == 8
 
 
 def test_done_awaitable_from_process(form):
+    """The entry event ``call_at`` returns for the last member is a plain
+    event a process can wait on."""
     sim = Simulator()
     got = []
 
     def waiter():
-        cohort = sim.schedule_cohort(form([1.0, 2.0]), lambda c, i, j: None)
-        value = yield cohort.done
+        entries = _fan_out(sim, form([1.0, 2.0]), lambda k: None)
+        value = yield entries[-1]
         got.append((value, sim.now))
 
     sim.process(waiter())
     sim.run()
-    assert len(got) == 1
-    assert got[0][1] == 2.0
+    assert got == [(None, 2.0)]
 
 
 # ---------------------------------------------------------------------------
@@ -218,19 +168,10 @@ def _metered_sim():
     return sim, rec
 
 
-def test_records_per_member_layer_counter():
-    sim, rec = _metered_sim()
-    sim.schedule_cohort([1.0, 1.0, 2.0], lambda c, i, j: None, layer="condor.tick")
-    sim.run()
-    assert rec.metrics.counter("cohort.events.condor.tick").value == 3
-
-
 def test_obs_does_not_change_simulation_results(form):
     def scenario(sim):
         seen = []
-        sim.schedule_cohort(
-            form([1.0, 1.0, 2.0]), lambda c, i, j: seen.extend(range(i, j))
-        )
+        _fan_out(sim, form([1.0, 1.0, 2.0]), seen.append)
         sim.run()
         return seen, sim.events_processed, sim.peak_queue_depth, sim.now
 
